@@ -32,10 +32,8 @@
 #define CTBUS_CONNECTIVITY_CANDIDATE_PRUNING_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "linalg/csr_matrix.h"
 #include "linalg/sparse_matrix.h"
 
 namespace ctbus::connectivity {
@@ -50,23 +48,16 @@ class CandidateScreen {
   /// precompute estimator's own step count so the screen resolves the
   /// spectrum at least as finely as the values it gates. `seed` feeds
   /// only the top-eigenvalue run behind the uniform Lemma 3/4 cap.
-  /// Freezes the adjacency once (CSR) and computes all per-vertex
-  /// diagonal communicabilities through batched quadrature.
+  /// Keeps a copy of the adjacency and computes every per-vertex diagonal
+  /// communicability up front: n serial quadratures.
   static CandidateScreen Build(const linalg::SymmetricSparseMatrix& adjacency,
                                double base_lambda, int lanczos_steps,
                                std::uint64_t seed);
 
   /// Upper bound on Delta({u, v}) for a prospective unweighted edge.
   /// Finite; may be negative when Golden-Thompson certifies a decrease.
+  /// Costs one serial quadrature on the base matrix.
   double EdgeBound(int u, int v) const;
-
-  /// Batched EdgeBound over candidate endpoint pairs: result[i] ==
-  /// EdgeBound(edges[i]) bit for bit (the polarization quadratures run
-  /// through LanczosExpQuadratureBatch, whose lanes reproduce the serial
-  /// kernel exactly), but the matrix is traversed once per Lanczos step
-  /// per chunk instead of once per candidate.
-  std::vector<double> EdgeBounds(
-      const std::vector<std::pair<int, int>>& edges) const;
 
   /// The uniform (edge-independent) k = 1 cap the per-edge bound is
   /// clamped against. Exposed for tests and bench reporting.
@@ -79,14 +70,9 @@ class CandidateScreen {
  private:
   CandidateScreen() = default;
 
-  /// log1p(inv_trace_ * g) for the polarization quadrature value of one
-  /// edge, clamped against the uniform cap.
-  double BoundFromQuadrature(int u, int v, double quad_uv) const;
-
-  int n_ = 0;
   int steps_ = 0;
-  // Frozen base adjacency the quadratures run against.
-  linalg::CsrMatrix matrix_;
+  // Base adjacency the quadratures run against.
+  linalg::SymmetricSparseMatrix matrix_;
   // Per-vertex diagonal communicability M_uu.
   std::vector<double> muu_;
   // 1 / tr(e^A) = e^{-(lambda_g + ln n)} under the estimator's baseline.

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "linalg/csr_matrix.h"
 #include "linalg/matvec.h"
 #include "linalg/sparse_matrix.h"
 
@@ -47,9 +46,12 @@ double NaturalConnectivityEstimate(const linalg::SymmetricSparseMatrix& a,
 
 /// Reusable estimator with a fixed probe set for a fixed dimension.
 ///
-/// Not thread-safe: the sparse-matrix overloads reuse an internal CSR
-/// scratch buffer. The precompute engine already builds one estimator per
-/// shard, which is exactly the right granularity.
+/// Immutable after construction, so one instance may be shared by any
+/// number of threads: the precompute shards and ETA's frontier workers all
+/// estimate through the same pinned probes. Each estimate runs one serial
+/// Lanczos quadrature per probe; the transit adjacency stays small enough
+/// (nnz in the low thousands) to live in cache, so a batched multi-probe
+/// traversal of the matrix has nothing to win.
 class ConnectivityEstimator {
  public:
   /// Throws std::invalid_argument unless options.probes >= 1 and
@@ -63,17 +65,6 @@ class ConnectivityEstimator {
   /// Estimates tr(e^A) without the log/normalization.
   double EstimateTraceExp(const linalg::MatVec& a) const;
 
-  /// Fast path for the concrete adjacency matrix: freezes `a` into a
-  /// reused CSR scratch (linalg::CsrMatrix) and runs all probes through
-  /// the fused batched quadrature. Bit-identical to the MatVec overload —
-  /// Freeze preserves entry order and each probe lane keeps its own FP
-  /// accumulation order — just faster: one matrix traversal per Lanczos
-  /// step feeds every probe.
-  double Estimate(const linalg::SymmetricSparseMatrix& a) const;
-
-  /// tr(e^A) via the same CSR + batched-probe fast path.
-  double EstimateTraceExp(const linalg::SymmetricSparseMatrix& a) const;
-
   int dim() const { return dim_; }
   int probes() const { return static_cast<int>(probes_.size()); }
   int lanczos_steps() const { return lanczos_steps_; }
@@ -86,7 +77,7 @@ class ConnectivityEstimator {
   /// Approximate resident footprint in bytes — dominated by the pinned
   /// probe vectors (probes() x dim() doubles). Deterministic, O(1).
   std::size_t ApproxBytes() const {
-    return sizeof(ConnectivityEstimator) + scratch_.ApproxBytes() +
+    return sizeof(ConnectivityEstimator) +
            probes_.size() * (sizeof(std::vector<double>) +
                              static_cast<std::size_t>(dim_) * sizeof(double));
   }
@@ -97,10 +88,6 @@ class ConnectivityEstimator {
   int dim_;
   int lanczos_steps_;
   std::vector<std::vector<double>> probes_;
-  // CSR scratch reused across Estimate(SymmetricSparseMatrix) calls so the
-  // per-candidate freeze does not reallocate. Mutable because freezing is
-  // an implementation detail of a logically-const estimate.
-  mutable linalg::CsrMatrix scratch_;
 };
 
 }  // namespace ctbus::connectivity

@@ -60,8 +60,8 @@ struct CtBusOptions {
   /// dominant per-query cost of SearchMode::kOnline (ETA-Pre ranks
   /// neighbors by L_e and never forks). 1 = serial, exactly the classic
   /// loop; 0 or negative = hardware concurrency. Results are bit-identical
-  /// at any setting: each worker slot lazily clones the online estimator
-  /// (same pinned probe seed => same probes) with a private scratch
+  /// at any setting: worker slots share the immutable online estimator
+  /// (same pinned probes) and each lazily builds a private scratch
   /// adjacency (see PlanningContext::OnlineConnectivityIncrementOnSlot),
   /// and candidates are reduced in serial order (argmax, lowest index wins
   /// ties). Like precompute_threads, this knob is therefore deliberately

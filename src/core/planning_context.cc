@@ -23,31 +23,24 @@ namespace ctbus::core {
 namespace {
 
 /// Delta(e) via one stochastic trace estimate per edge, for the universe
-/// edges listed in `todo`, sharded over `num_threads` workers. Each shard
-/// owns a fresh adjacency copy and a fresh estimator; the estimator pins
-/// its probes from options.precompute_estimator.seed at construction, so
-/// every shard sees the same common random numbers and each edge's result
-/// is independent of sharding — bit-identical to a serial run.
+/// edges listed in `todo`, sharded over `num_threads` workers. The shards
+/// share one immutable estimator (probes pinned from
+/// options.precompute_estimator.seed) and each owns a fresh adjacency
+/// copy, so each edge's result is independent of sharding — bit-identical
+/// to a serial run.
 void ComputeStochasticIncrements(const graph::TransitNetwork& transit,
                                  const CtBusOptions& options,
                                  const EdgeUniverse& universe,
                                  const std::vector<int>& todo,
                                  int num_threads,
                                  std::vector<double>* increments) {
-  // The base estimate is shard-independent (deterministic, pinned probes):
-  // compute it once instead of once per shard.
-  const double base = [&] {
-    const linalg::SymmetricSparseMatrix adjacency = transit.AdjacencyMatrix();
-    const connectivity::ConnectivityEstimator estimator(
-        transit.num_stops(), options.precompute_estimator);
-    return estimator.Estimate(adjacency);
-  }();
+  const connectivity::ConnectivityEstimator estimator(
+      transit.num_stops(), options.precompute_estimator);
+  const double base = estimator.Estimate(transit.AdjacencyMatrix());
   ParallelFor(static_cast<int>(todo.size()), num_threads,
               [&](int /*shard*/, int begin, int end) {
                 linalg::SymmetricSparseMatrix adjacency =
                     transit.AdjacencyMatrix();
-                const connectivity::ConnectivityEstimator estimator(
-                    transit.num_stops(), options.precompute_estimator);
                 for (int i = begin; i < end; ++i) {
                   const PlannableEdge& edge = universe.edge(todo[i]);
                   (*increments)[todo[i]] = std::max(
@@ -88,7 +81,7 @@ void ComputePerturbationIncrements(const graph::TransitNetwork& transit,
 /// swap-with-last only ever shuffles staged entries among themselves and
 /// the pre-call row layout is restored exactly — which is what keeps
 /// evaluations bit-identical across the shared scratch and every
-/// per-worker clone (same layout -> same summation order).
+/// per-worker copy (same layout -> same summation order).
 double EstimateIncrementWith(
     const EdgeUniverse& universe,
     const connectivity::ConnectivityEstimator& estimator,
@@ -182,13 +175,11 @@ void PruneAndEstimateIncrements(const graph::TransitNetwork& transit,
           adjacency, base_lambda, options.precompute_estimator.lanczos_steps,
           options.precompute_estimator.seed ^ 0xc2b2ae3d27d4eb4fULL);
 
-  std::vector<std::pair<int, int>> endpoints;
-  endpoints.reserve(count);
+  std::vector<double> bounds(count);
   for (std::size_t i = 0; i < count; ++i) {
     const PlannableEdge& edge = universe.edge(todo[i]);
-    endpoints.emplace_back(edge.u, edge.v);
+    bounds[i] = screen.EdgeBound(edge.u, edge.v);
   }
-  const std::vector<double> bounds = screen.EdgeBounds(endpoints);
 
   // Phase 1 selection: indices into `todo`, deterministic order (value
   // descending, universe id ascending on ties).
@@ -455,16 +446,13 @@ double PlanningContext::OnlineConnectivityIncrementOnSlot(
          slot < static_cast<int>(online_eval_units_.size()));
   std::unique_ptr<OnlineEvalUnit>& unit = online_eval_units_[slot];
   if (unit == nullptr) {
-    // First use of this slot: clone the estimator (same options => same
-    // pinned probes as the shared one) and copy the base adjacency (same
-    // deterministic construction => same row layout). No re-estimate of
-    // base_lambda_ is needed — the clone would reproduce it bit-for-bit.
+    // First use of this slot: copy the base adjacency (same deterministic
+    // construction => same row layout). The estimator is immutable and
+    // shared by every slot.
     unit = std::make_unique<OnlineEvalUnit>();
-    unit->estimator = std::make_unique<connectivity::ConnectivityEstimator>(
-        transit_->num_stops(), options_.online_estimator);
     unit->scratch_adjacency = transit_->AdjacencyMatrix();
   }
-  return EstimateIncrementWith(precompute_->universe, *unit->estimator,
+  return EstimateIncrementWith(precompute_->universe, *estimator_,
                                &unit->scratch_adjacency, base_lambda_,
                                path_edges);
 }
@@ -493,8 +481,7 @@ std::size_t PlanningContext::ApproxBytes() const {
                           sizeof(std::unique_ptr<OnlineEvalUnit>);
   for (const auto& unit : online_eval_units_) {
     if (unit == nullptr) continue;
-    bytes += sizeof(OnlineEvalUnit) + unit->estimator->ApproxBytes() +
-             unit->scratch_adjacency.ApproxBytes();
+    bytes += sizeof(OnlineEvalUnit) + unit->scratch_adjacency.ApproxBytes();
   }
   return bytes;
 }

@@ -102,10 +102,10 @@ class PlanningContext {
  public:
   /// Runs only the expensive pre-computation phases. The Delta(e) loop is
   /// sharded over options.precompute_threads workers (1 = serial, <= 0 =
-  /// hardware concurrency); each shard owns its estimator and scratch
-  /// adjacency, so the result is bit-identical at any thread count for
-  /// both estimator paths. Thread-safe for concurrent callers (shares
-  /// nothing but its const inputs).
+  /// hardware concurrency); the shards share one immutable estimator and
+  /// each owns its scratch adjacency, so the result is bit-identical at any
+  /// thread count for both estimator paths. Thread-safe for concurrent
+  /// callers (shares nothing but its const inputs).
   static Precompute RunPrecompute(const graph::RoadNetwork& road,
                                   const graph::TransitNetwork& transit,
                                   const CtBusOptions& options);
@@ -149,7 +149,7 @@ class PlanningContext {
   /// place. This is the hot path of the serving layer's cache hits: the
   /// Precompute is immutable, so any number of contexts (on any threads)
   /// may share one instance; each context only adds mutable state of its
-  /// own (scratch adjacency, estimator), which is what makes a *context*
+  /// own (scratch adjacencies), which is what makes a *context*
   /// single-threaded while the *precompute* is freely shared.
   static PlanningContext BuildWithPrecompute(
       const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
@@ -222,12 +222,12 @@ class PlanningContext {
   double OnlineConnectivityIncrement(const std::vector<int>& path_edges) const;
 
   /// OnlineConnectivityIncrement evaluated on worker slot `slot`'s private
-  /// evaluation unit — an estimator clone pinned to the same probe seed
-  /// plus a private scratch adjacency — constructed lazily on the slot's
-  /// first use. Bit-identical to OnlineConnectivityIncrement: the clone
-  /// draws the same probes, and Set/Remove cycles restore the adjacency's
-  /// row layout exactly, so every evaluation sees the base layout plus its
-  /// own path edges regardless of which unit runs it. Distinct slots may
+  /// evaluation unit — a private scratch adjacency, constructed lazily on
+  /// the slot's first use — with the shared (immutable) estimator.
+  /// Bit-identical to OnlineConnectivityIncrement: Set/Remove cycles
+  /// restore the adjacency's row layout exactly, so every evaluation sees
+  /// the base layout plus its own path edges regardless of which unit
+  /// runs it. Distinct slots may
   /// run concurrently (ETA's frontier workers key slots off stable
   /// WorkerPool shard ids); a single slot must never be shared by two
   /// threads at once. Requires ReserveOnlineEvalSlots(slot + 1) first.
@@ -263,7 +263,6 @@ class PlanningContext {
   /// One worker slot's private online-evaluation state; see
   /// OnlineConnectivityIncrementOnSlot.
   struct OnlineEvalUnit {
-    std::unique_ptr<connectivity::ConnectivityEstimator> estimator;
     linalg::SymmetricSparseMatrix scratch_adjacency;
   };
 

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "io/csv.h"
 #include "io/parse.h"
 
 namespace ctbus::io {
@@ -269,6 +270,55 @@ std::optional<graph::TransitNetwork> LoadTransitNetwork(
     }
   }
   return transit;
+}
+
+bool IngestTripCsv(const std::string& path, graph::RoadNetwork* road,
+                   std::int64_t* trips, std::string* error) {
+  std::string row_error;
+  const bool ok = ForEachCsvRow(
+      path,
+      [&](std::vector<std::string>&& fields, std::size_t line_number) {
+        const auto fail = [&](const std::string& reason) {
+          row_error = LineError(path, line_number, reason);
+          return false;
+        };
+        if (fields.size() < 2) {
+          return fail("a trip needs at least two road vertices");
+        }
+        int prev = -1;
+        std::vector<int> edges;
+        edges.reserve(fields.size() - 1);
+        for (std::size_t i = 0; i < fields.size(); ++i) {
+          int vertex = 0;
+          if (!ParseInt(fields[i], &vertex)) {
+            return fail("'" + fields[i] + "' is not a road-vertex id");
+          }
+          if (vertex < 0 || vertex >= road->graph().num_vertices()) {
+            return fail("road vertex " + std::to_string(vertex) +
+                        " out of range");
+          }
+          if (i > 0) {
+            const auto edge = road->graph().EdgeBetween(prev, vertex);
+            if (!edge.has_value()) {
+              return fail("vertices " + std::to_string(prev) + " and " +
+                          std::to_string(vertex) +
+                          " are not adjacent in the road network");
+            }
+            edges.push_back(*edge);
+          }
+          prev = vertex;
+        }
+        for (int e : edges) road->AddTripCount(e);
+        if (trips != nullptr) ++*trips;
+        return true;
+      },
+      error);
+  if (!ok) return false;
+  if (!row_error.empty()) {
+    if (error != nullptr) *error = row_error;
+    return false;
+  }
+  return true;
 }
 
 }  // namespace ctbus::io

@@ -12,6 +12,7 @@
 #ifndef CTBUS_IO_NETWORK_IO_H_
 #define CTBUS_IO_NETWORK_IO_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -35,6 +36,15 @@ bool SaveTransitNetwork(const graph::TransitNetwork& transit,
 /// Same diagnostics contract as LoadRoadNetwork.
 std::optional<graph::TransitNetwork> LoadTransitNetwork(
     const std::string& path, std::string* error = nullptr);
+
+/// Streams a trip CSV into `road`'s trip counts. Each row is one trip: a
+/// sequence of >= 2 road-vertex ids whose consecutive pairs must be
+/// road-adjacent. Adds one to `*trips` per ingested row when `trips` is
+/// non-null. Returns false and sets `*error` (when non-null) to a
+/// "path:line: reason" diagnostic on the first malformed row; rows before
+/// it stay counted.
+bool IngestTripCsv(const std::string& path, graph::RoadNetwork* road,
+                   std::int64_t* trips, std::string* error);
 
 }  // namespace ctbus::io
 

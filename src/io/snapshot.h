@@ -57,8 +57,10 @@ inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
 /// Hard bound on the section table, checked before it is walked.
 inline constexpr std::uint32_t kMaxSnapshotSections = 16;
 
-/// FNV-1a-64 over a byte range — the per-section checksum. Same constants
-/// as net::Fnv1a64; duplicated here because io sits below the net layer.
+/// The per-section checksum: FNV-1a-64 (io::Fnv1a64) with the offset
+/// basis 1469598103934665603, which is the standard basis with its last
+/// digit dropped. Format version 1 and the committed fixtures froze it;
+/// changing it needs a format-version bump.
 std::uint64_t SnapshotChecksum(const std::uint8_t* data, std::size_t size);
 
 /// The CtBusOptions fields a Delta(e) precompute's output depends on —

@@ -36,20 +36,4 @@ double EstimateTraceExpWithProbes(
   return acc / static_cast<double>(probes.size());
 }
 
-double EstimateTraceExpBatched(
-    const MatVec& a, const std::vector<std::vector<double>>& probes,
-    int steps) {
-  if (probes.empty()) {
-    throw std::invalid_argument(
-        "EstimateTraceExpBatched: empty probe set (0/0 average)");
-  }
-  const std::vector<double> quads =
-      LanczosExpQuadratureBatch(a, probes, steps);
-  // Same left-to-right accumulation as the serial estimator; each quad is
-  // bit-identical, so the average is too.
-  double acc = 0.0;
-  for (const double q : quads) acc += q;
-  return acc / static_cast<double>(probes.size());
-}
-
 }  // namespace ctbus::linalg

@@ -36,15 +36,6 @@ double EstimateTraceExpWithProbes(
     const MatVec& a, const std::vector<std::vector<double>>& probes,
     int steps);
 
-/// Bit-identical to EstimateTraceExpWithProbes, but runs every probe
-/// through one LanczosExpQuadratureBatch call so each Lanczos step makes a
-/// single fused traversal of the matrix (see MatVec::ApplyBatch) instead
-/// of one traversal per probe. Throws std::invalid_argument on empty
-/// `probes`.
-double EstimateTraceExpBatched(
-    const MatVec& a, const std::vector<std::vector<double>>& probes,
-    int steps);
-
 }  // namespace ctbus::linalg
 
 #endif  // CTBUS_LINALG_HUTCHINSON_H_

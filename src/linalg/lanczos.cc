@@ -122,117 +122,6 @@ double LanczosExpQuadrature(const MatVec& a, const std::vector<double>& v,
   return v_norm * v_norm * quad;
 }
 
-std::vector<double> LanczosExpQuadratureBatch(
-    const MatVec& a, const std::vector<std::vector<double>>& vs, int steps) {
-  const int n = a.dim();
-  const int batch = static_cast<int>(vs.size());
-  std::vector<double> results(batch, 0.0);
-  if (batch == 0) return results;
-  assert(steps >= 1);
-
-  // SoA lane state: element (i, b) of V/W/V_prev lives at [i * batch + b].
-  // Every per-lane reduction below walks i = 0..n-1 exactly like the
-  // serial Dot/Norm2/Axpy/Scale kernels, so each lane's FP sequence is
-  // identical to a standalone LanczosExpQuadrature run on that probe.
-  std::vector<double> vcur(static_cast<std::size_t>(n) * batch, 0.0);
-  std::vector<double> w(static_cast<std::size_t>(n) * batch, 0.0);
-  std::vector<double> v_prev(static_cast<std::size_t>(n) * batch, 0.0);
-  std::vector<char> active(batch, 1);
-  std::vector<double> v_norm(batch, 0.0);
-  std::vector<std::vector<double>> alphas(batch);
-  std::vector<std::vector<double>> betas(batch);
-  std::vector<double> beta_prev(batch, 0.0);
-
-  int num_active = batch;
-  for (int b = 0; b < batch; ++b) {
-    assert(static_cast<int>(vs[b].size()) == n);
-    for (int i = 0; i < n; ++i) vcur[static_cast<std::size_t>(i) * batch + b] = vs[b][i];
-    // v_norm = Norm2(v): serial code computes it twice (once in the
-    // quadrature wrapper, once inside Normalize) on identical inputs;
-    // the value is the same either way.
-    double acc = 0.0;
-    for (int i = 0; i < n; ++i) {
-      const double x = vcur[static_cast<std::size_t>(i) * batch + b];
-      acc += x * x;
-    }
-    v_norm[b] = std::sqrt(acc);
-    if (v_norm[b] == 0.0) {
-      // Serial path returns 0.0 without tridiagonalizing.
-      active[b] = 0;
-      --num_active;
-      continue;
-    }
-    const double inv = 1.0 / v_norm[b];
-    for (int i = 0; i < n; ++i) vcur[static_cast<std::size_t>(i) * batch + b] *= inv;
-  }
-
-  for (int j = 0; j < steps && num_active > 0; ++j) {
-    // One fused traversal feeds every lane (inactive lanes' outputs are
-    // simply ignored; their vectors stay finite, so no spurious FP traps).
-    a.ApplyBatch(vcur.data(), batch, w.data());
-    for (int b = 0; b < batch; ++b) {
-      if (!active[b]) continue;
-      // alpha = Dot(w, v)
-      double alpha = 0.0;
-      for (int i = 0; i < n; ++i) {
-        const std::size_t at = static_cast<std::size_t>(i) * batch + b;
-        alpha += w[at] * vcur[at];
-      }
-      alphas[b].push_back(alpha);
-      // w <- w - alpha v  (Axpy(-alpha, v, &w))
-      for (int i = 0; i < n; ++i) {
-        const std::size_t at = static_cast<std::size_t>(i) * batch + b;
-        w[at] += (-alpha) * vcur[at];
-      }
-      if (j > 0) {
-        for (int i = 0; i < n; ++i) {
-          const std::size_t at = static_cast<std::size_t>(i) * batch + b;
-          w[at] += (-beta_prev[b]) * v_prev[at];
-        }
-      }
-      double beta_acc = 0.0;
-      for (int i = 0; i < n; ++i) {
-        const double x = w[static_cast<std::size_t>(i) * batch + b];
-        beta_acc += x * x;
-      }
-      const double beta = std::sqrt(beta_acc);
-      if (j + 1 == steps) {
-        active[b] = 0;
-        --num_active;
-        continue;
-      }
-      if (beta < kBreakdownTol) {
-        // Invariant subspace: this lane's T is exact; stop extending it.
-        active[b] = 0;
-        --num_active;
-        continue;
-      }
-      betas[b].push_back(beta);
-      const double inv = 1.0 / beta;
-      for (int i = 0; i < n; ++i) {
-        const std::size_t at = static_cast<std::size_t>(i) * batch + b;
-        v_prev[at] = vcur[at];
-        vcur[at] = w[at] * inv;
-      }
-      beta_prev[b] = beta;
-    }
-  }
-
-  for (int b = 0; b < batch; ++b) {
-    if (v_norm[b] == 0.0) continue;
-    const SymmetricEigenResult tri =
-        TridiagonalEigen(alphas[b], betas[b], /*compute_vectors=*/true);
-    const int t = static_cast<int>(alphas[b].size());
-    double quad = 0.0;
-    for (int j = 0; j < t; ++j) {
-      const double z0 = tri.eigenvectors.At(0, j);
-      quad += std::exp(tri.eigenvalues[j]) * z0 * z0;
-    }
-    results[b] = v_norm[b] * v_norm[b] * quad;
-  }
-  return results;
-}
-
 std::vector<double> TopEigenvalues(const MatVec& a, int k, int iters,
                                    Rng* rng) {
   const int n = a.dim();

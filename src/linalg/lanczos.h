@@ -56,16 +56,6 @@ std::vector<double> LanczosExpApply(const MatVec& a,
 double LanczosExpQuadrature(const MatVec& a, const std::vector<double>& v,
                             int steps);
 
-/// Batched Lanczos quadrature: result[b] == LanczosExpQuadrature(a, vs[b],
-/// steps) bit for bit. All lanes advance in lockstep through a single
-/// MatVec::ApplyBatch per iteration, so the matrix is traversed once per
-/// step instead of once per probe; each lane keeps its own alpha/beta
-/// recurrence and drops out independently on breakdown, and every scalar
-/// reduction walks elements in the same order as the serial kernels, so
-/// the per-lane FP sequence is unchanged.
-std::vector<double> LanczosExpQuadratureBatch(
-    const MatVec& a, const std::vector<std::vector<double>>& vs, int steps);
-
 /// Largest `k` eigenvalues of `a` (descending), computed by Lanczos with full
 /// reorthogonalization using `iters >= k` iterations from a random start.
 /// Accurate for the well-separated extreme eigenvalues the CT-Bus bounds

@@ -19,23 +19,6 @@ class MatVec {
   /// Computes y = A x. Requires x.size() == y->size() == dim().
   virtual void Apply(const std::vector<double>& x,
                      std::vector<double>* y) const = 0;
-
-  /// Computes Y = A X for `batch` right-hand sides stored SoA-interleaved:
-  /// element (i, b) lives at x[i * batch + b] (and likewise in y). Each
-  /// lane's result is bit-identical to a single-vector Apply of that lane:
-  /// the default implementation literally unpacks one lane at a time, and
-  /// overrides (CsrMatrix) keep every lane's accumulation in its own
-  /// register so the per-lane FP order is unchanged while the matrix is
-  /// traversed once for all lanes.
-  virtual void ApplyBatch(const double* x, int batch, double* y) const {
-    std::vector<double> lane_x(dim());
-    std::vector<double> lane_y(dim());
-    for (int b = 0; b < batch; ++b) {
-      for (int i = 0; i < dim(); ++i) lane_x[i] = x[i * batch + b];
-      Apply(lane_x, &lane_y);
-      for (int i = 0; i < dim(); ++i) y[i * batch + b] = lane_y[i];
-    }
-  }
 };
 
 }  // namespace ctbus::linalg

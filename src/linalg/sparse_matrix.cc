@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "linalg/csr_matrix.h"
-
 namespace ctbus::linalg {
 namespace {
 
@@ -99,10 +97,6 @@ void SymmetricSparseMatrix::Apply(const std::vector<double>& x,
     for (const Entry& e : rows_[i]) acc += e.value * x[e.col];
     (*y)[i] = acc;
   }
-}
-
-CsrMatrix SymmetricSparseMatrix::Freeze() const {
-  return CsrMatrix::FromSparse(*this);
 }
 
 double SymmetricSparseMatrix::SpectralNormUpperBound() const {

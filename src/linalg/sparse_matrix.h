@@ -15,8 +15,6 @@
 
 namespace ctbus::linalg {
 
-class CsrMatrix;
-
 /// Symmetric matrix with zero diagonal (a weighted undirected adjacency
 /// matrix). Entries are stored twice, once per incident row.
 class SymmetricSparseMatrix : public MatVec {
@@ -66,11 +64,6 @@ class SymmetricSparseMatrix : public MatVec {
   /// y = A x.
   void Apply(const std::vector<double>& x,
              std::vector<double>* y) const override;
-
-  /// Freezes the current contents into a contiguous CSR matrix for the
-  /// estimator hot path. Per-row entry order is preserved, so CSR matvec
-  /// results are bit-identical to Apply on this matrix.
-  CsrMatrix Freeze() const;
 
   /// Cheap upper bound on the spectral norm: max over rows of the row sum of
   /// absolute values (the infinity norm, which dominates ||A||_2 for

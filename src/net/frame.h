@@ -70,11 +70,6 @@ struct FrameHeader {
   std::uint32_t payload_checksum = 0;
 };
 
-/// FNV-1a hashes (checksum of choice: tiny, dependency-free, and good
-/// enough to catch corruption — this is an integrity check, not crypto).
-std::uint32_t Fnv1a32(const std::uint8_t* data, std::size_t size);
-std::uint64_t Fnv1a64(const std::uint8_t* data, std::size_t size);
-
 /// One planning request on the wire.
 struct RequestFrame {
   /// Client-chosen correlation id echoed in the response (responses on a

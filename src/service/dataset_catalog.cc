@@ -3,12 +3,9 @@
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "gen/datasets.h"
-#include "io/csv.h"
 #include "io/network_io.h"
-#include "io/parse.h"
 #include "io/snapshot.h"
 
 namespace ctbus::service {
@@ -18,55 +15,6 @@ namespace {
 bool Fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
-}
-
-/// Streams the trip CSV into the road network's trip counts. Each row is
-/// one trip: a sequence of >= 2 road-vertex ids whose consecutive pairs
-/// must be road-adjacent. Returns false + message on any malformed row.
-bool IngestTrips(const std::string& path, graph::RoadNetwork* road,
-                 std::int64_t* trips, std::string* error) {
-  std::string row_error;
-  const bool ok = io::ForEachCsvRow(
-      path,
-      [&](std::vector<std::string>&& fields, std::size_t line_number) {
-        const auto fail = [&](const std::string& reason) {
-          row_error = io::LineError(path, line_number, reason);
-          return false;
-        };
-        if (fields.size() < 2) {
-          return fail("a trip needs at least two road vertices");
-        }
-        int prev = -1;
-        std::vector<int> edges;
-        edges.reserve(fields.size() - 1);
-        for (std::size_t i = 0; i < fields.size(); ++i) {
-          int vertex = 0;
-          if (!io::ParseInt(fields[i], &vertex)) {
-            return fail("'" + fields[i] + "' is not a road-vertex id");
-          }
-          if (vertex < 0 || vertex >= road->graph().num_vertices()) {
-            return fail("road vertex " + std::to_string(vertex) +
-                        " out of range");
-          }
-          if (i > 0) {
-            const auto edge = road->graph().EdgeBetween(prev, vertex);
-            if (!edge.has_value()) {
-              return fail("vertices " + std::to_string(prev) + " and " +
-                          std::to_string(vertex) +
-                          " are not adjacent in the road network");
-            }
-            edges.push_back(*edge);
-          }
-          prev = vertex;
-        }
-        for (int e : edges) road->AddTripCount(e);
-        ++*trips;
-        return true;
-      },
-      error);
-  if (!ok) return false;
-  if (!row_error.empty()) return Fail(error, row_error);
-  return true;
 }
 
 /// Cross-checks the loaded transit network against the road network, so
@@ -181,7 +129,7 @@ std::optional<DatasetManifest> DatasetCatalog::Register(
       return std::nullopt;
     }
     if (!descriptor.trips_path.empty() &&
-        !IngestTrips(descriptor.trips_path, &road, &trips, &load_error)) {
+        !io::IngestTripCsv(descriptor.trips_path, &road, &trips, &load_error)) {
       Fail(error, prefix + "trips: " + load_error);
       return std::nullopt;
     }

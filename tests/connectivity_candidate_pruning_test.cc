@@ -1,16 +1,26 @@
 #include "connectivity/candidate_pruning.h"
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "connectivity/natural_connectivity.h"
+#include "core/options.h"
+#include "core/planning_context.h"
+#include "io/network_io.h"
+#include "io/snapshot.h"
 #include "linalg/dense_eigen.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/rng.h"
 #include "linalg/sparse_matrix.h"
+
+#ifndef CTBUS_TEST_DATA_DIR
+#define CTBUS_TEST_DATA_DIR "tests/data"
+#endif
 
 namespace ctbus::connectivity {
 namespace {
@@ -58,20 +68,64 @@ TEST(CandidateScreenTest, BoundDominatesTrueIncrement) {
   }
 }
 
-TEST(CandidateScreenTest, BatchedBoundsBitIdenticalToSerial) {
-  // EdgeBounds must reproduce EdgeBound exactly, including across the
-  // 64-lane chunk boundary of the batched quadratures.
+TEST(CandidateScreenTest, PinnedBoundsOnFixedGraph) {
+  // Exact screen outputs for one fixed graph, estimator and step count.
+  // The estimator baseline, the uniform cap, the diagonal
+  // communicabilities and the per-edge bounds must stay byte-equal under
+  // any refactor of the quadrature path; a change here shifts every
+  // pruned precompute table and the cache bytes built from it.
   linalg::Rng rng(12);
-  const auto a = RandomGraph(40, 3.0, &rng);
-  const auto screen = CandidateScreen::Build(
-      a, NaturalConnectivityExact(a), /*lanczos_steps=*/8, 77);
-  auto edges = AbsentEdges(a);
-  ASSERT_GT(edges.size(), 64u);  // force at least two chunks
-  const auto bounds = screen.EdgeBounds(edges);
-  ASSERT_EQ(bounds.size(), edges.size());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    EXPECT_EQ(bounds[i], screen.EdgeBound(edges[i].first, edges[i].second));
-  }
+  const auto a = RandomGraph(40, 4.0, &rng);
+  const ConnectivityEstimator estimator(
+      a.dim(), {/*probes=*/8, /*lanczos_steps=*/8, /*seed=*/3});
+  const double base_lambda = estimator.Estimate(a);
+  EXPECT_EQ(base_lambda, 0x1.daf8275c293cfp+0);
+  const auto screen =
+      CandidateScreen::Build(a, base_lambda, /*lanczos_steps=*/8, 77);
+  EXPECT_EQ(screen.UniformCap(), 0x1.e62f1e8c49894p-2);
+  EXPECT_EQ(screen.DiagonalCommunicability(0), 0x1p+0);
+  EXPECT_EQ(screen.DiagonalCommunicability(9), 0x1.5438ba73e736ep+3);
+  EXPECT_EQ(screen.DiagonalCommunicability(22), 0x1.e0e187144088p+3);
+  EXPECT_EQ(screen.DiagonalCommunicability(31), 0x1.d9f8952343447p+3);
+  ASSERT_FALSE(a.Contains(0, 1));
+  ASSERT_FALSE(a.Contains(5, 6));
+  ASSERT_FALSE(a.Contains(11, 29));
+  ASSERT_FALSE(a.Contains(38, 39));
+  EXPECT_EQ(screen.EdgeBound(0, 1), 0x1.362cefa591c1ep-7);
+  EXPECT_EQ(screen.EdgeBound(5, 6), 0x1.08a181e849d0fp-6);
+  EXPECT_EQ(screen.EdgeBound(11, 29), 0x1.7f1e47b5e5ce9p-6);
+  EXPECT_EQ(screen.EdgeBound(38, 39), 0x1.3b10c88664c1dp-5);
+}
+
+TEST(CandidateScreenTest, PinnedPrunedPrecomputeOnGridFixture) {
+  // One pruned RunPrecompute on the committed 5x5 grid fixture, pinned
+  // by the FNV-1a-64 checksum of its canonical encoding (timings zeroed).
+  // Covers the screen, both estimate passes and the pruned flags end to
+  // end.
+  const std::string dir = CTBUS_TEST_DATA_DIR;
+  const auto road = io::LoadRoadNetwork(dir + "/grid_road.tsv");
+  const auto transit = io::LoadTransitNetwork(dir + "/grid_transit.tsv");
+  ASSERT_TRUE(road.has_value());
+  ASSERT_TRUE(transit.has_value());
+  core::CtBusOptions options;
+  options.tau = 900.0;
+  options.precompute_estimator = {/*probes=*/6, /*lanczos_steps=*/6,
+                                  /*seed=*/6};
+  options.prune_candidates = true;
+  options.prune_keep_rank = 4;
+  options.precompute_threads = 1;
+  core::Precompute pre =
+      core::PlanningContext::RunPrecompute(*road, *transit, options);
+  EXPECT_EQ(pre.universe.num_new_edges(), 8);
+  EXPECT_EQ(pre.stats.num_increments_estimated, 5);
+  EXPECT_EQ(pre.stats.num_increments_pruned, 3);
+  pre.stats.universe_seconds = 0.0;
+  pre.stats.increments_seconds = 0.0;
+  std::vector<std::uint8_t> bytes;
+  io::EncodePrecompute(pre, &bytes);
+  ASSERT_EQ(bytes.size(), 754u);
+  EXPECT_EQ(io::SnapshotChecksum(bytes.data(), bytes.size()),
+            0xe720b85d35bb3519ULL);
 }
 
 TEST(CandidateScreenTest, BoundClampedByUniformCap) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "demand/demand_index.h"
 #include "gen/city_generator.h"
 #include "graph/shortest_path.h"
 
@@ -75,7 +74,9 @@ TEST(TripGeneratorTest, GenerateDemandMatchesTrajectoryAccumulation) {
   options.num_trips = 150;
   options.seed = 9;
   const auto trips = GenerateTrips(road_a, options);
-  demand::AccumulateTrajectories(trips, &road_a);
+  for (const auto& t : trips) {
+    for (int e : t.edges()) road_a.AddTripCount(e);
+  }
   const auto count = GenerateDemand(options, &road_b);
   EXPECT_EQ(count, 150);
   for (int e = 0; e < road_a.graph().num_edges(); ++e) {

@@ -8,7 +8,6 @@
 
 #include "connectivity/natural_connectivity.h"
 #include "core/planner.h"
-#include "demand/demand_index.h"
 #include "eval/transfer_metrics.h"
 #include "gen/city_generator.h"
 #include "gen/datasets.h"
@@ -49,7 +48,9 @@ TEST(IntegrationTest, FullPipelineFromScratch) {
   trip_options.num_trips = 800;
   trip_options.seed = 79;
   const auto trips = gen::GenerateTrips(road, trip_options);
-  demand::AccumulateTrajectories(trips, &road);
+  for (const auto& t : trips) {
+    for (int e : t.edges()) road.AddTripCount(e);
+  }
   ASSERT_GT(road.TotalTripCount(), 0);
 
   core::CtBusPlanner planner(road, transit, FastOptions());

@@ -139,21 +139,6 @@ TEST(HutchinsonTest, RejectsNonPositiveProbeCount) {
   const SymmetricSparseMatrix a(10);
   EXPECT_THROW(EstimateTraceExp(a, 0, 5, &rng), std::invalid_argument);
   EXPECT_THROW(EstimateTraceExpWithProbes(a, {}, 5), std::invalid_argument);
-  EXPECT_THROW(EstimateTraceExpBatched(a, {}, 5), std::invalid_argument);
-}
-
-TEST(HutchinsonTest, BatchedEstimateBitIdenticalToSerial) {
-  // The fused-ApplyBatch path must reproduce the serial per-probe path
-  // exactly — it backs the estimator swap under the serving layer's
-  // bit-identity guarantees.
-  Rng rng(46);
-  const auto a = RandomGraph(70, 4.0, &rng);
-  for (int probes : {1, 8, 40}) {
-    Rng probe_rng(900 + probes);
-    const auto vs = MakeGaussianProbes(a.dim(), probes, &probe_rng);
-    EXPECT_EQ(EstimateTraceExpBatched(a, vs, 10),
-              EstimateTraceExpWithProbes(a, vs, 10));
-  }
 }
 
 class HutchinsonSweepTest : public ::testing::TestWithParam<int> {};

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "linalg/csr_matrix.h"
 #include "linalg/dense_eigen.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/rng.h"
@@ -273,73 +272,6 @@ INSTANTIATE_TEST_SUITE_P(
     GraphFamilies, LanczosConvergenceTest,
     ::testing::Combine(::testing::Values(20, 40, 80),
                        ::testing::Values(2.0, 4.0, 8.0)));
-
-TEST(LanczosBatchTest, QuadratureBatchBitIdenticalToSerial) {
-  // The contract of LanczosExpQuadratureBatch: result[b] equals the
-  // serial quadrature bit for bit, for every batch size (including ones
-  // crossing the internal 32-lane blocking boundary).
-  for (int batch : {1, 2, 5, 31, 32, 33, 50}) {
-    Rng rng(700 + batch);
-    const int n = 60;
-    const auto a = RandomGraph(n, 4.0, &rng);
-    std::vector<std::vector<double>> vs(batch, std::vector<double>(n));
-    for (auto& v : vs) FillGaussian(&rng, &v);
-    const auto batched = LanczosExpQuadratureBatch(a, vs, 10);
-    ASSERT_EQ(batched.size(), vs.size());
-    for (int b = 0; b < batch; ++b) {
-      EXPECT_EQ(batched[b], LanczosExpQuadrature(a, vs[b], 10))
-          << "batch=" << batch << " lane=" << b;
-    }
-  }
-}
-
-TEST(LanczosBatchTest, QuadratureBatchHandlesDegenerateLanes) {
-  // Zero-norm lanes and early-breakdown lanes (a probe supported on an
-  // isolated vertex hits an invariant subspace immediately) must drop out
-  // per lane without disturbing their neighbors.
-  Rng rng(55);
-  SymmetricSparseMatrix a(20);
-  for (int i = 0; i < 15; ++i) {
-    const int u = static_cast<int>(rng.NextIndex(19));
-    const int v = static_cast<int>(rng.NextIndex(19));
-    if (u != v) a.Set(u, v, 1.0);
-  }
-  // Vertex 19 stays isolated.
-  std::vector<std::vector<double>> vs;
-  vs.emplace_back(20, 0.0);  // zero vector lane
-  std::vector<double> isolated(20, 0.0);
-  isolated[19] = 2.0;  // breakdown lane: A e_19 = 0
-  vs.push_back(isolated);
-  std::vector<double> dense(20);
-  FillGaussian(&rng, &dense);
-  vs.push_back(dense);
-  const auto batched = LanczosExpQuadratureBatch(a, vs, 8);
-  ASSERT_EQ(batched.size(), 3u);
-  for (int b = 0; b < 3; ++b) {
-    EXPECT_EQ(batched[b], LanczosExpQuadrature(a, vs[b], 8)) << "lane " << b;
-  }
-  EXPECT_EQ(batched[0], 0.0);
-  // e_19 is an eigenvector with eigenvalue 0: quadrature is exact,
-  // ||v||^2 e^0 = 4.
-  EXPECT_NEAR(batched[1], 4.0, 1e-12);
-}
-
-TEST(LanczosBatchTest, QuadratureBatchMatchesAcrossCsrAndAdjacency) {
-  // The batch contract composes with the CSR determinism contract: the
-  // frozen matrix feeds identical bits through either entry point.
-  Rng rng(66);
-  const int n = 45;
-  const auto a = RandomGraph(n, 4.0, &rng);
-  const auto csr = a.Freeze();
-  std::vector<std::vector<double>> vs(6, std::vector<double>(n));
-  for (auto& v : vs) FillGaussian(&rng, &v);
-  const auto via_adj = LanczosExpQuadratureBatch(a, vs, 9);
-  const auto via_csr = LanczosExpQuadratureBatch(csr, vs, 9);
-  for (std::size_t b = 0; b < vs.size(); ++b) {
-    EXPECT_EQ(via_adj[b], via_csr[b]);
-    EXPECT_EQ(via_csr[b], LanczosExpQuadrature(a, vs[b], 9));
-  }
-}
 
 TEST(LanczosTest, DenseTraceExpSanity) {
   // Cross-check helper used in other tests: C4 cycle eigenvalues 2,0,0,-2.

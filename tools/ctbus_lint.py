@@ -415,7 +415,6 @@ APPROX_BYTES_OWNERS = (
     ("src/graph/road_network.h", "RoadNetwork"),
     ("src/graph/transit_network.h", "TransitNetwork"),
     ("src/linalg/sparse_matrix.h", "SymmetricSparseMatrix"),
-    ("src/linalg/csr_matrix.h", "CsrMatrix"),
     ("src/connectivity/natural_connectivity.h", "ConnectivityEstimator"),
     ("src/demand/ranked_list.h", "RankedList"),
     ("src/core/edge_universe.h", "EdgeUniverse"),

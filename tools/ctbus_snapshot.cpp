@@ -32,7 +32,6 @@
 #include "core/planning_context.h"
 #include "demand/ranked_list.h"
 #include "gen/datasets.h"
-#include "io/csv.h"
 #include "io/network_io.h"
 #include "io/parse.h"
 #include "io/snapshot.h"
@@ -61,56 +60,6 @@ struct BuildArgs {
   ctbus::core::CtBusOptions options;
 };
 
-/// Streams the trip CSV into road trip counts — the same contract as
-/// DatasetCatalog's ingestion (>= 2 adjacent road vertices per row).
-bool IngestTrips(const std::string& path, ctbus::graph::RoadNetwork* road,
-                 std::string* error) {
-  std::string row_error;
-  const bool ok = ctbus::io::ForEachCsvRow(
-      path,
-      [&](std::vector<std::string>&& fields, std::size_t line_number) {
-        const auto fail = [&](const std::string& reason) {
-          row_error = ctbus::io::LineError(path, line_number, reason);
-          return false;
-        };
-        if (fields.size() < 2) {
-          return fail("a trip needs at least two road vertices");
-        }
-        int prev = -1;
-        std::vector<int> edges;
-        edges.reserve(fields.size() - 1);
-        for (std::size_t i = 0; i < fields.size(); ++i) {
-          int vertex = 0;
-          if (!ctbus::io::ParseInt(fields[i], &vertex)) {
-            return fail("'" + fields[i] + "' is not a road-vertex id");
-          }
-          if (vertex < 0 || vertex >= road->graph().num_vertices()) {
-            return fail("road vertex " + std::to_string(vertex) +
-                        " out of range");
-          }
-          if (i > 0) {
-            const auto edge = road->graph().EdgeBetween(prev, vertex);
-            if (!edge.has_value()) {
-              return fail("vertices " + std::to_string(prev) + " and " +
-                          std::to_string(vertex) +
-                          " are not adjacent in the road network");
-            }
-            edges.push_back(*edge);
-          }
-          prev = vertex;
-        }
-        for (int e : edges) road->AddTripCount(e);
-        return true;
-      },
-      error);
-  if (!ok) return false;
-  if (!row_error.empty()) {
-    *error = row_error;
-    return false;
-  }
-  return true;
-}
-
 int RunBuild(const BuildArgs& args) {
   ctbus::io::Snapshot snapshot;
   if (!args.preset.empty()) {
@@ -130,7 +79,8 @@ int RunBuild(const BuildArgs& args) {
     snapshot.road = std::move(*road);
     snapshot.transit = std::move(*transit);
     if (!args.trips_path.empty() &&
-        !IngestTrips(args.trips_path, &snapshot.road, &error)) {
+        !ctbus::io::IngestTripCsv(args.trips_path, &snapshot.road,
+                                  /*trips=*/nullptr, &error)) {
       return Fail(error);
     }
   }
