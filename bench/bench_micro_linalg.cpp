@@ -90,6 +90,25 @@ void BM_SparseMatVec(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseMatVec)->Arg(1024)->Arg(8192)->Arg(65536);
 
+// One lane-interleaved product over kLanes vectors: compare its time with
+// kLanes x BM_SparseMatVec at the same size.
+void BM_SparseApplyBlock(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto a = RandomGraph(n, 4.0, 5);
+  ctbus::linalg::Rng rng(6);
+  std::vector<double> x(static_cast<std::size_t>(n) * ctbus::linalg::kLanes);
+  std::vector<double> y(x.size());
+  ctbus::linalg::FillGaussian(&rng, &x);
+  for (auto _ : state) {
+    a.ApplyBlock(x.data(), ctbus::linalg::kLanes, y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * a.num_entries() * 2 *
+                          ctbus::linalg::kLanes);
+}
+BENCHMARK(BM_SparseApplyBlock)->Arg(1024)->Arg(8192)->Arg(65536);
+
 void BM_EdgeAddRemove(benchmark::State& state) {
   auto a = RandomGraph(4096, 4.0, 7);
   ctbus::linalg::Rng rng(8);

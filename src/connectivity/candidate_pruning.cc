@@ -30,14 +30,17 @@ CandidateScreen CandidateScreen::Build(
   screen.inv_trace_ =
       std::exp(-(base_lambda + std::log(static_cast<double>(n))));
 
-  // M_uu for every vertex: one unit-vector quadrature each.
+  // M_uu for every vertex: one unit-vector quadrature each, kLanes
+  // vertices per pass over the matrix.
   screen.muu_.resize(n);
-  std::vector<double> unit(n, 0.0);
-  for (int u = 0; u < n; ++u) {
-    unit[u] = 1.0;
-    screen.muu_[u] =
-        linalg::LanczosExpQuadrature(screen.matrix_, unit, screen.steps_);
-    unit[u] = 0.0;
+  std::vector<std::vector<double>> units(linalg::kLanes,
+                                         std::vector<double>(n, 0.0));
+  for (int start = 0; start < n; start += linalg::kLanes) {
+    const int lanes = std::min(linalg::kLanes, n - start);
+    for (int b = 0; b < lanes; ++b) units[b][start + b] = 1.0;
+    linalg::LanczosExpQuadratureLanes(screen.matrix_, units.data(), lanes,
+                                      screen.steps_, &screen.muu_[start]);
+    for (int b = 0; b < lanes; ++b) units[b][start + b] = 0.0;
   }
 
   // Uniform k = 1 cap from the (overflow-safe) Lemma 3/4 bounds; the

@@ -49,14 +49,14 @@ class CandidateScreen {
   /// spectrum at least as finely as the values it gates. `seed` feeds
   /// only the top-eigenvalue run behind the uniform Lemma 3/4 cap.
   /// Keeps a copy of the adjacency and computes every per-vertex diagonal
-  /// communicability up front: n serial quadratures.
+  /// communicability up front: n quadratures, kLanes vertices per pass.
   static CandidateScreen Build(const linalg::SymmetricSparseMatrix& adjacency,
                                double base_lambda, int lanczos_steps,
                                std::uint64_t seed);
 
   /// Upper bound on Delta({u, v}) for a prospective unweighted edge.
   /// Finite; may be negative when Golden-Thompson certifies a decrease.
-  /// Costs one serial quadrature on the base matrix.
+  /// Costs one single-lane quadrature on the base matrix.
   double EdgeBound(int u, int v) const;
 
   /// The uniform (edge-independent) k = 1 cap the per-edge bound is

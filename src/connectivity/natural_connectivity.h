@@ -48,10 +48,15 @@ double NaturalConnectivityEstimate(const linalg::SymmetricSparseMatrix& a,
 ///
 /// Immutable after construction, so one instance may be shared by any
 /// number of threads: the precompute shards and ETA's frontier workers all
-/// estimate through the same pinned probes. Each estimate runs one serial
-/// Lanczos quadrature per probe; the transit adjacency stays small enough
-/// (nnz in the low thousands) to live in cache, so a batched multi-probe
-/// traversal of the matrix has nothing to win.
+/// estimate through the same pinned probes. Each estimate runs the Lanczos
+/// quadrature kLanes probes at a time over lane-interleaved vectors
+/// (linalg::LanczosExpQuadratureLanes), with bits identical to one probe
+/// at a time. The win is not memory traffic — the transit adjacency (nnz in
+/// the low thousands) lives in cache either way — but latency: with the
+/// lanes inner, every vector pass runs kLanes independent accumulator
+/// chains instead of one. An earlier lane-outer batch (each lane's
+/// reduction strided across the block, over a CSR copy frozen per
+/// estimate) gave the same bits but lost to the serial loop.
 class ConnectivityEstimator {
  public:
   /// Throws std::invalid_argument unless options.probes >= 1 and

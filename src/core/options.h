@@ -49,8 +49,9 @@ struct CtBusOptions {
 
   /// Worker threads for the Delta(e) pre-computation loop (the dominant
   /// Table 4 cost). 1 = serial; 0 or negative = hardware concurrency. The
-  /// result is bit-identical at any thread count (each shard owns its
-  /// estimator and scratch adjacency; see docs/PRECOMPUTE.md), so this knob
+  /// result is bit-identical at any thread count (the shards share one
+  /// immutable estimator and each owns a scratch adjacency; see
+  /// docs/PRECOMPUTE.md), so this knob
   /// is deliberately NOT part of the precompute cache key.
   /// ctbus-lint: key-exempt(bit-identical at any thread count — keying would fragment the cache)
   int precompute_threads = 1;

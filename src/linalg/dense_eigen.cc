@@ -206,6 +206,30 @@ void SortAscending(std::vector<double>* values, DenseMatrix* vectors) {
   *values = std::move(sorted_values);
 }
 
+// Shared body of the two tridiagonal entry points. `vector_rows` is the
+// number of leading identity rows whose rotations are accumulated: 0
+// (values only), 1 (first row) or n (full eigenvectors).
+SymmetricEigenResult SolveTridiagonal(const std::vector<double>& diag,
+                                      const std::vector<double>& off,
+                                      int vector_rows) {
+  const int n = static_cast<int>(diag.size());
+  assert(static_cast<int>(off.size()) == (n > 0 ? n - 1 : 0));
+  SymmetricEigenResult result;
+  if (n == 0) return result;
+  std::vector<double> d = diag;
+  // Tql2 expects the subdiagonal in e[1..n-1] before its internal shift.
+  std::vector<double> e(n, 0.0);
+  for (int i = 1; i < n; ++i) e[i] = off[i - 1];
+  DenseMatrix v(vector_rows, n);
+  for (int i = 0; i < vector_rows; ++i) v.Set(i, i, 1.0);
+  Tql2(&d, &e, vector_rows > 0 ? &v : nullptr);
+  result.eigenvalues = std::move(d);
+  if (vector_rows > 0) result.eigenvectors = std::move(v);
+  SortAscending(&result.eigenvalues,
+                vector_rows > 0 ? &result.eigenvectors : nullptr);
+  return result;
+}
+
 }  // namespace
 
 SymmetricEigenResult SymmetricEigen(const DenseMatrix& a,
@@ -233,22 +257,13 @@ std::vector<double> SymmetricEigenvalues(const DenseMatrix& a) {
 SymmetricEigenResult TridiagonalEigen(const std::vector<double>& diag,
                                       const std::vector<double>& off,
                                       bool compute_vectors) {
-  const int n = static_cast<int>(diag.size());
-  assert(static_cast<int>(off.size()) == (n > 0 ? n - 1 : 0));
-  SymmetricEigenResult result;
-  if (n == 0) return result;
-  std::vector<double> d = diag;
-  // Tql2 expects the subdiagonal in e[1..n-1] before its internal shift.
-  std::vector<double> e(n, 0.0);
-  for (int i = 1; i < n; ++i) e[i] = off[i - 1];
-  DenseMatrix v;
-  if (compute_vectors) v = DenseMatrix::Identity(n);
-  Tql2(&d, &e, compute_vectors ? &v : nullptr);
-  result.eigenvalues = std::move(d);
-  if (compute_vectors) result.eigenvectors = std::move(v);
-  SortAscending(&result.eigenvalues,
-                compute_vectors ? &result.eigenvectors : nullptr);
-  return result;
+  return SolveTridiagonal(diag, off,
+                          compute_vectors ? static_cast<int>(diag.size()) : 0);
+}
+
+SymmetricEigenResult TridiagonalEigenFirstRow(const std::vector<double>& diag,
+                                              const std::vector<double>& off) {
+  return SolveTridiagonal(diag, off, 1);
 }
 
 }  // namespace ctbus::linalg

@@ -36,6 +36,16 @@ SymmetricEigenResult TridiagonalEigen(const std::vector<double>& diag,
                                       const std::vector<double>& off,
                                       bool compute_vectors);
 
+/// TridiagonalEigen restricted to the first row of the eigenvector matrix:
+/// eigenvalues ascending, and `eigenvectors` is 1 x n with entry (0, j) =
+/// the first component of eigenvector j — the Gauss weights of Lanczos
+/// quadrature. Runs the same QL rotations on a single row seeded with
+/// e1^T; a row's rotations never read other rows, so every value is
+/// bit-identical to row 0 of TridiagonalEigen(diag, off, true) at O(n)
+/// memory instead of O(n^2).
+SymmetricEigenResult TridiagonalEigenFirstRow(const std::vector<double>& diag,
+                                              const std::vector<double>& off);
+
 }  // namespace ctbus::linalg
 
 #endif  // CTBUS_LINALG_DENSE_EIGEN_H_

@@ -1,5 +1,6 @@
 #include "linalg/hutchinson.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "linalg/lanczos.h"
@@ -29,9 +30,13 @@ double EstimateTraceExpWithProbes(
     throw std::invalid_argument(
         "EstimateTraceExpWithProbes: empty probe set (0/0 average)");
   }
+  const int count = static_cast<int>(probes.size());
   double acc = 0.0;
-  for (const auto& v : probes) {
-    acc += LanczosExpQuadrature(a, v, steps);
+  for (int start = 0; start < count; start += kLanes) {
+    const int lanes = std::min(kLanes, count - start);
+    double quad[kLanes] = {};
+    LanczosExpQuadratureLanes(a, &probes[start], lanes, steps, quad);
+    for (int b = 0; b < lanes; ++b) acc += quad[b];
   }
   return acc / static_cast<double>(probes.size());
 }

@@ -3,7 +3,13 @@
 // tr(exp(A)) = E[v^T exp(A) v] for v with i.i.d. unit-variance entries
 // (Equation 6/7 of the paper). Each quadratic form is evaluated with
 // `steps`-iteration Lanczos quadrature, so one estimate costs
-// O(probes * steps * nnz(A)).
+// O(probes * steps * nnz(A)) arithmetic, in ceil(probes / kLanes) lane
+// blocks of `steps` passes over A each (LanczosExpQuadratureLanes). On a
+// 387-vertex graph with 425 edges (Intel Xeon, -O2, baseline x86-64), a
+// 4-lane 10-step block takes ~65-75 us: about a quarter in the ten block
+// products, a third in the four 10x10 tridiagonal QL solves behind the
+// Gauss weights, and the rest in the vector updates. A 50x10 estimate
+// runs ~0.8-1.0 ms there, against ~2.0 ms one probe at a time.
 //
 // The `WithProbes` variant evaluates several matrices with the *same* probe
 // vectors (common random numbers). CT-Bus relies on this to estimate tiny

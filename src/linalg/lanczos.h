@@ -50,9 +50,21 @@ std::vector<double> LanczosExpApply(const MatVec& a,
                                     const std::vector<double>& v, int steps);
 
 /// Approximates the quadratic form v^T exp(A) v by Lanczos quadrature:
-///   ||v||^2 * (e1^T exp(T) e1).
-/// This never materializes the basis, so it costs O(steps * nnz) time and
-/// O(n) memory — the inner kernel of the trace estimator.
+///   ||v||^2 * (e1^T exp(T) e1),
+/// for `lanes` probes at once: out[b] is the quadrature of probes[b],
+/// b < lanes, with 1 <= lanes <= kLanes. The three-term recurrence runs
+/// on lane-interleaved vectors through MatVec::ApplyBlock, so one pass
+/// over the matrix serves every lane, and each lane's arithmetic is the
+/// single-probe recurrence in the same order: results do not depend on
+/// which probes share a block. A zero probe yields 0.0; a lane that hits
+/// an invariant subspace stops extending its T while the others go on.
+/// Never materializes the basis: O(steps * nnz) time, O(n * kLanes)
+/// memory, all of it local to the call.
+void LanczosExpQuadratureLanes(const MatVec& a,
+                               const std::vector<double>* probes, int lanes,
+                               int steps, double* out);
+
+/// LanczosExpQuadratureLanes for the single probe `v`.
 double LanczosExpQuadrature(const MatVec& a, const std::vector<double>& v,
                             int steps);
 

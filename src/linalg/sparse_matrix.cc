@@ -87,15 +87,35 @@ bool SymmetricSparseMatrix::Contains(int u, int v) const {
   return FindInRow(u, v) >= 0;
 }
 
+template <int L>
+void SymmetricSparseMatrix::ApplyLanes(const double* x, double* y) const {
+  const int n = dim();
+  for (int i = 0; i < n; ++i) {
+    double acc[L] = {};
+    for (const Entry& e : rows_[i]) {
+      const double* xc = x + static_cast<std::size_t>(e.col) * L;
+      for (int b = 0; b < L; ++b) acc[b] += e.value * xc[b];
+    }
+    double* yi = y + static_cast<std::size_t>(i) * L;
+    for (int b = 0; b < L; ++b) yi[b] = acc[b];
+  }
+}
+
 void SymmetricSparseMatrix::Apply(const std::vector<double>& x,
                                   std::vector<double>* y) const {
   assert(static_cast<int>(x.size()) == dim());
   assert(static_cast<int>(y->size()) == dim());
-  const int n = dim();
-  for (int i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (const Entry& e : rows_[i]) acc += e.value * x[e.col];
-    (*y)[i] = acc;
+  ApplyLanes<1>(x.data(), y->data());
+}
+
+void SymmetricSparseMatrix::ApplyBlock(const double* x, int lanes,
+                                       double* y) const {
+  if (lanes == kLanes) {
+    ApplyLanes<kLanes>(x, y);
+  } else if (lanes == 1) {
+    ApplyLanes<1>(x, y);
+  } else {
+    MatVec::ApplyBlock(x, lanes, y);
   }
 }
 

@@ -65,6 +65,12 @@ class SymmetricSparseMatrix : public MatVec {
   void Apply(const std::vector<double>& x,
              std::vector<double>* y) const override;
 
+  /// Y = A X over the stored rows, lane-inner: for every row, each lane
+  /// accumulates its stored entries in the same order Apply does, so the
+  /// result is bit-identical lane by lane. Specialized for 1 and kLanes
+  /// lanes; other widths take the MatVec gather/scatter default.
+  void ApplyBlock(const double* x, int lanes, double* y) const override;
+
   /// Cheap upper bound on the spectral norm: max over rows of the row sum of
   /// absolute values (the infinity norm, which dominates ||A||_2 for
   /// symmetric A).
@@ -81,6 +87,10 @@ class SymmetricSparseMatrix : public MatVec {
  private:
   // Returns the index of `col` in rows_[row], or -1.
   int FindInRow(int row, int col) const;
+
+  // Y = A X for L interleaved lanes (the shared body of Apply/ApplyBlock).
+  template <int L>
+  void ApplyLanes(const double* x, double* y) const;
 
   std::vector<std::vector<Entry>> rows_;
   std::int64_t num_entries_ = 0;

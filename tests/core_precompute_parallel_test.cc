@@ -58,8 +58,8 @@ TEST_P(PrecomputeParallelTest, AnyThreadCountIsBitIdenticalToSerial) {
     ExpectUniversesIdentical(parallel.universe, serial.universe);
     ASSERT_EQ(parallel.increments.size(), serial.increments.size());
     for (std::size_t e = 0; e < serial.increments.size(); ++e) {
-      // Exact double equality on purpose: each shard owns an estimator
-      // pinned to the same seed, so sharding must not move a single bit.
+      // Exact double equality on purpose: the shards share one estimator
+      // with pinned probes, so sharding must not move a single bit.
       EXPECT_EQ(parallel.increments[e], serial.increments[e])
           << "threads=" << threads << " edge=" << e;
     }

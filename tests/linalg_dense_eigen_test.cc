@@ -182,6 +182,28 @@ TEST(DenseEigenTest, TridiagonalSingleElement) {
   EXPECT_NEAR(result.eigenvectors.At(0, 0), 1.0, 1e-14);
 }
 
+TEST(DenseEigenTest, TridiagonalFirstRowBitIdenticalToFullSolve) {
+  // The first-row solve runs the same QL rotations on row 0 only; since a
+  // rotation never mixes rows, values and weights must match exactly.
+  Rng rng(36);
+  for (int n = 1; n <= 24; ++n) {
+    std::vector<double> diag(n), off(n - 1);
+    for (double& v : diag) v = rng.NextGaussian();
+    for (double& v : off) v = rng.NextDouble(0.1, 2.0);
+    const auto full = TridiagonalEigen(diag, off, /*compute_vectors=*/true);
+    const auto row = TridiagonalEigenFirstRow(diag, off);
+    ASSERT_EQ(row.eigenvalues.size(), static_cast<std::size_t>(n));
+    ASSERT_EQ(row.eigenvectors.rows(), 1);
+    ASSERT_EQ(row.eigenvectors.cols(), n);
+    for (int j = 0; j < n; ++j) {
+      EXPECT_EQ(row.eigenvalues[j], full.eigenvalues[j]) << n << " " << j;
+      EXPECT_EQ(row.eigenvectors.At(0, j), full.eigenvectors.At(0, j))
+          << n << " " << j;
+    }
+  }
+  EXPECT_TRUE(TridiagonalEigenFirstRow({}, {}).eigenvalues.empty());
+}
+
 class DenseEigenPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DenseEigenPropertyTest, ReconstructionFromSpectrum) {

@@ -8,6 +8,7 @@
 
 #include "linalg/dense_eigen.h"
 #include "linalg/dense_matrix.h"
+#include "linalg/lanczos.h"
 #include "linalg/rng.h"
 #include "linalg/sparse_matrix.h"
 
@@ -128,6 +129,67 @@ TEST(HutchinsonTest, CommonRandomNumbersReduceIncrementVariance) {
     indep_sq_err += indep_err * indep_err;
   }
   EXPECT_LT(crn_sq_err, indep_sq_err);
+}
+
+// Bit-exact pins of EstimateTraceExpWithProbes, captured from the
+// one-probe-at-a-time recurrence (Dot / Axpy / Norm2 / Scale per probe,
+// full tridiagonal eigenvectors). Any kernel that computes the estimate
+// differently — lane blocks, fused passes, first-row Gauss weights — must
+// reproduce these bits exactly: every cached Delta(e), golden trace and
+// snapshot checksum is downstream of them.
+class HutchinsonPinnedTest : public ::testing::Test {
+ protected:
+  HutchinsonPinnedTest() {
+    Rng graph_rng(2021);
+    graph_ = RandomGraph(150, 4.0, &graph_rng);
+    Rng probe_rng(13);
+    probes_ = MakeGaussianProbes(graph_.dim(), 50, &probe_rng);
+  }
+
+  SymmetricSparseMatrix graph_;
+  std::vector<std::vector<double>> probes_;
+};
+
+TEST_F(HutchinsonPinnedTest, FiftyProbesTenSteps) {
+  EXPECT_EQ(EstimateTraceExpWithProbes(graph_, probes_, 10),
+            0x1.c06c42e19409fp+9);
+}
+
+TEST_F(HutchinsonPinnedTest, EightProbesEightSteps) {
+  const std::vector<std::vector<double>> probes(probes_.begin(),
+                                                probes_.begin() + 8);
+  EXPECT_EQ(EstimateTraceExpWithProbes(graph_, probes, 8),
+            0x1.14613c06c4ca5p+10);
+}
+
+TEST_F(HutchinsonPinnedTest, PartialBlockWithZeroProbe) {
+  // Seven probes leave a partial last lane block; the all-zero probe must
+  // contribute exactly 0 without disturbing the probes that share its
+  // block. The dense operator exercises the generic MatVec::ApplyBlock
+  // (its row sums include the zero entries, hence the different last bit).
+  std::vector<std::vector<double>> probes(probes_.begin() + 8,
+                                          probes_.begin() + 15);
+  probes[5].assign(graph_.dim(), 0.0);
+  EXPECT_EQ(EstimateTraceExpWithProbes(graph_, probes, 10),
+            0x1.53d3f1af9c2c6p+9);
+  EXPECT_EQ(EstimateTraceExpWithProbes(DenseMatrix::FromSparse(graph_), probes,
+                                       10),
+            0x1.53d3f1af9c2c5p+9);
+}
+
+TEST(HutchinsonPinnedBreakdownTest, ThreeVertexPathBreaksDownEarly) {
+  // A 3-dimensional Krylov space is exhausted after three steps, far short
+  // of the ten requested: each lane must stop extending its own T.
+  SymmetricSparseMatrix path(3);
+  path.Set(0, 1, 1.0);
+  path.Set(1, 2, 1.0);
+  Rng rng(5);
+  const auto probes = MakeGaussianProbes(3, 6, &rng);
+  LanczosOptions options;
+  options.steps = 10;
+  EXPECT_TRUE(LanczosTridiagonalize(path, probes[0], options).broke_down);
+  EXPECT_EQ(EstimateTraceExpWithProbes(path, probes, 10),
+            0x1.be6f48dfe9b53p+1);
 }
 
 TEST(HutchinsonTest, RejectsNonPositiveProbeCount) {

@@ -1,5 +1,6 @@
 #include "linalg/lanczos.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -162,6 +163,53 @@ TEST(LanczosTest, QuadratureZeroVectorIsZero) {
   a.Set(0, 1, 1.0);
   EXPECT_DOUBLE_EQ(LanczosExpQuadrature(a, std::vector<double>(5, 0.0), 5),
                    0.0);
+}
+
+TEST(LanczosTest, LaneQuadratureIndependentOfBlockMates) {
+  // Vertices 0..2 form an isolated path, so a probe supported there breaks
+  // down after three steps, and vertex 3 is isolated, so e_3 breaks down
+  // at once (beta exactly 0); Gaussian probes over the whole graph run all
+  // twelve steps. Whatever shares a block — breaking-down lanes, a zero
+  // probe, padding lanes — each lane's bits equal its one-lane call.
+  Rng rng(29);
+  auto a = RandomGraph(50, 4.0, &rng);
+  for (int u = 0; u < 4; ++u) {
+    for (int v = 0; v < a.dim(); ++v) {
+      if (u != v) a.Remove(u, v);
+    }
+  }
+  a.Set(0, 1, 1.0);
+  a.Set(1, 2, 1.0);
+  ASSERT_EQ(kLanes, 4);
+  std::vector<std::vector<double>> probes(kLanes,
+                                          std::vector<double>(a.dim(), 0.0));
+  FillGaussian(&rng, &probes[0]);
+  for (int i = 0; i < 3; ++i) probes[1][i] = rng.NextGaussian();
+  probes[3][3] = 1.0;
+  LanczosOptions options;
+  options.steps = 12;
+  ASSERT_FALSE(LanczosTridiagonalize(a, probes[0], options).broke_down);
+  ASSERT_TRUE(LanczosTridiagonalize(a, probes[1], options).broke_down);
+  ASSERT_TRUE(LanczosTridiagonalize(a, probes[3], options).broke_down);
+
+  std::vector<double> single(kLanes);
+  for (int b = 0; b < kLanes; ++b) {
+    single[b] = LanczosExpQuadrature(a, probes[b], 12);
+  }
+  EXPECT_EQ(single[2], 0.0);
+  EXPECT_EQ(single[3], 1.0);  // e_3^T exp(0) e_3
+  EXPECT_NEAR(single[1], Dot(probes[1], DenseExpApply(a, probes[1])),
+              1e-9 * single[1]);
+  for (int lanes = 1; lanes <= kLanes; ++lanes) {
+    for (int first = 0; first + lanes <= kLanes; ++first) {
+      std::vector<double> out(lanes, -1.0);
+      LanczosExpQuadratureLanes(a, &probes[first], lanes, 12, out.data());
+      for (int b = 0; b < lanes; ++b) {
+        EXPECT_EQ(out[b], single[first + b])
+            << "lanes " << lanes << " first " << first << " lane " << b;
+      }
+    }
+  }
 }
 
 TEST(LanczosTest, TopEigenvaluesMatchDense) {

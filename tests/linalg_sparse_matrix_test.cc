@@ -103,6 +103,31 @@ TEST(SparseMatrixTest, ApplyMatchesDenseOnRandomGraph) {
   for (int i = 0; i < n; ++i) EXPECT_NEAR(ys[i], yd[i], 1e-12);
 }
 
+TEST(SparseMatrixTest, ApplyBlockBitIdenticalToMatVecDefault) {
+  // The lane-inner override must reproduce, bit for bit, the generic
+  // gather -> Apply -> scatter reference for every block width: the
+  // specialized 1 and kLanes paths and the fallback widths alike.
+  Rng rng(17);
+  const int n = 60;
+  SymmetricSparseMatrix a(n);
+  for (int trial = 0; trial < 240; ++trial) {
+    const int u = static_cast<int>(rng.NextIndex(n));
+    const int v = static_cast<int>(rng.NextIndex(n));
+    if (u != v) a.Set(u, v, rng.NextDouble(-2.0, 2.0));
+  }
+  for (int lanes = 1; lanes <= kLanes + 1; ++lanes) {
+    std::vector<double> x(static_cast<std::size_t>(n) * lanes);
+    for (double& val : x) val = rng.NextGaussian();
+    std::vector<double> fast(x.size(), -1.0);
+    std::vector<double> reference(x.size(), -2.0);
+    a.ApplyBlock(x.data(), lanes, fast.data());
+    a.MatVec::ApplyBlock(x.data(), lanes, reference.data());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(fast[i], reference[i]) << "lanes " << lanes << " at " << i;
+    }
+  }
+}
+
 TEST(SparseMatrixTest, SpectralNormUpperBoundDominates) {
   // For the path graph P3, ||A||_2 = sqrt(2) ~ 1.414; inf-norm bound is 2.
   SymmetricSparseMatrix m(3);

@@ -91,6 +91,35 @@ TEST(NetServer, ServerMediatedResultsBitIdenticalToDirectSubmit) {
   EXPECT_EQ(loopback->server->CounterValue(obs::kNetFramesMalformed), 0u);
 }
 
+TEST(NetServer, ResponseCarriesServerSeconds) {
+  // server_seconds spans receipt to response encode, so it is positive
+  // and covers the service-side queue wait it contains.
+  std::string error;
+  LoopbackOptions options;
+  options.preset = "midtown";
+  auto loopback = StartLoopbackServer(options, &error);
+  ASSERT_NE(loopback, nullptr) << error;
+
+  Client client;
+  ASSERT_TRUE(client.Connect(loopback->port(), &error)) << error;
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    ResponseFrame wire;
+    ASSERT_TRUE(client.Call(WireRequest(id, CheapRequest(loopback->dataset)),
+                            &wire, &error))
+        << error;
+    ASSERT_EQ(wire.status, ResponseStatus::kOk);
+    EXPECT_GT(wire.server_seconds, 0.0);
+    EXPECT_GE(wire.server_seconds, wire.queue_seconds);
+  }
+  // Immediate verdicts are timed too.
+  ResponseFrame rejected;
+  ASSERT_TRUE(client.Call(WireRequest(9, CheapRequest("atlantis")), &rejected,
+                          &error))
+      << error;
+  EXPECT_EQ(rejected.status, ResponseStatus::kError);
+  EXPECT_GT(rejected.server_seconds, 0.0);
+}
+
 TEST(NetServer, QuotaRejectIsImmediateAndCounted) {
   ServiceOptions service_options;
   service_options.num_threads = 1;
