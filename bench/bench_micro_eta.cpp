@@ -1,9 +1,14 @@
-// Micro-benchmarks for the planner internals, covering the ablations called
-// out in DESIGN.md: Algorithm 2's incremental demand bound vs the
-// Equation 9 rescanning bound, domination-table pruning, and the cost of a
-// single online objective evaluation vs a linearized one.
+// Micro-benchmarks for the planner internals: Algorithm 2's incremental
+// demand bound vs the Equation 9 rescanning bound, domination-table
+// pruning, the cost of a single online objective evaluation vs a
+// linearized one, and the two halves of a precomputed-mode answer — the
+// context build over a shared precompute, then the ETA-Pre or vk-TSP
+// search. The Delta(e) precompute runs once, outside every timed loop.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
+#include "core/baselines.h"
 #include "core/domination_table.h"
 #include "core/eta.h"
 #include "core/planning_context.h"
@@ -30,11 +35,23 @@ ctbus::core::CtBusOptions MicroOptions() {
   return options;
 }
 
+const std::shared_ptr<const ctbus::core::Precompute>& SharedPrecompute() {
+  static const auto* precompute =
+      new std::shared_ptr<const ctbus::core::Precompute>(
+          std::make_shared<const ctbus::core::Precompute>(
+              ctbus::core::PlanningContext::RunPrecompute(
+                  SharedCity().road, SharedCity().transit, MicroOptions())));
+  return *precompute;
+}
+
+ctbus::core::PlanningContext BuildContext() {
+  return ctbus::core::PlanningContext::BuildWithPrecompute(
+      SharedCity().road, SharedCity().transit, MicroOptions(),
+      SharedPrecompute());
+}
+
 ctbus::core::PlanningContext& SharedContext() {
-  static auto* ctx = new ctbus::core::PlanningContext(
-      ctbus::core::PlanningContext::Build(SharedCity().road,
-                                          SharedCity().transit,
-                                          MicroOptions()));
+  static auto* ctx = new ctbus::core::PlanningContext(BuildContext());
   return *ctx;
 }
 
@@ -107,18 +124,36 @@ void BM_DominationTable(benchmark::State& state) {
 }
 BENCHMARK(BM_DominationTable);
 
-void BM_EtaPreFullSearch(benchmark::State& state) {
-  // End-to-end ETA-Pre search (excluding context construction).
+void BM_ContextBuildWithPrecompute(benchmark::State& state) {
+  // The first half of a precomputed-mode answer: base estimate, ranked
+  // lists and normalization over the shared precompute.
+  SharedPrecompute();
   for (auto _ : state) {
-    state.PauseTiming();
-    auto ctx = ctbus::core::PlanningContext::Build(
-        SharedCity().road, SharedCity().transit, MicroOptions());
-    state.ResumeTiming();
+    benchmark::DoNotOptimize(BuildContext());
+  }
+}
+BENCHMARK(BM_ContextBuildWithPrecompute)->Unit(benchmark::kMillisecond);
+
+void BM_EtaPreFullSearch(benchmark::State& state) {
+  // End-to-end ETA-Pre search (excluding context construction). The
+  // search only touches the context's scratch state, so one context
+  // serves every iteration.
+  const auto& ctx = SharedContext();
+  for (auto _ : state) {
     benchmark::DoNotOptimize(
         ctbus::core::RunEta(&ctx, ctbus::core::SearchMode::kPrecomputed));
   }
 }
 BENCHMARK(BM_EtaPreFullSearch)->Unit(benchmark::kMillisecond);
+
+void BM_VkTspFullSearch(benchmark::State& state) {
+  // End-to-end vk-TSP, including the derivation of its w = 1 sibling.
+  const auto& ctx = SharedContext();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctbus::core::RunVkTsp(&ctx));
+  }
+}
+BENCHMARK(BM_VkTspFullSearch)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

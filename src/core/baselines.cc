@@ -14,15 +14,15 @@ namespace ctbus::core {
 
 PlanResult RunVkTsp(const PlanningContext* context) {
   // The baseline is Algorithm 1 with w = 1 and new edges only
-  // (Section 7.2.1). A sibling context is derived from the caller's
-  // pre-computation (same universe and Delta(e)); only the weight and the
-  // edge restriction change.
+  // (Section 7.2.1). Only the weight and the edge restriction change, so
+  // the sibling context is derived from the caller's: it shares the
+  // precompute, estimator, base lambda, L_d, L_lambda and normalization,
+  // and rebuilds only L_e.
   CtBusOptions options = context->options();
   options.w = 1.0;
   options.new_edges_only = true;
-  PlanningContext baseline_context = PlanningContext::BuildWithPrecompute(
-      context->road(), context->transit(), options,
-      context->SharePrecompute());
+  const PlanningContext baseline_context =
+      context->WithSearchOptions(options);
   PlanResult result = RunEta(&baseline_context, SearchMode::kPrecomputed);
   // Score the baseline's route under the caller's objective (the paper's
   // Table 6 reports all methods under the same weighted objective).

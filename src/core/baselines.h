@@ -1,6 +1,8 @@
 // Comparable approaches from Section 2 / 7.2.1:
 //  * vk-TSP (demand-first): maximize demand alone (w = 1) with new edges
-//    only, implemented on the same expansion framework as ETA.
+//    only, implemented on the same expansion framework as ETA. It runs
+//    ETA-Pre on a sibling of the caller's context
+//    (PlanningContext::WithSearchOptions), which rebuilds only L_e.
 //  * Connectivity-first (Chan et al. [22]): greedily add l discrete edges
 //    maximizing natural connectivity, then try to stitch them into a route
 //    (Figure 6 shows the stitching fails: the edges are scattered).
@@ -18,7 +20,8 @@ namespace ctbus::core {
 /// Plans a route with the demand-first baseline. Overrides w = 1 and
 /// restricts the search to new edges; everything else follows the
 /// configuration in the context's options. Runs in precomputed mode (the
-/// baseline needs no connectivity evaluation at all).
+/// baseline needs no connectivity evaluation at all) on a sibling derived
+/// from `context`, so it shares the context's single-thread contract.
 PlanResult RunVkTsp(const PlanningContext* context);
 
 /// Result of the connectivity-first greedy edge augmentation.

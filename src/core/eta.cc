@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <memory>
-#include <queue>
 #include <utility>
 
 #include "core/domination_table.h"
@@ -57,8 +56,7 @@ class EtaSearch {
     Initialize();
     int it = 0;
     while (!queue_.empty()) {
-      QueueEntry entry = queue_.top();
-      queue_.pop();
+      QueueEntry entry = PopBest();
       if (entry.upper_bound <= best_objective_ || it >= options_.max_iterations) {
         break;  // Line 5-6 of Algorithm 1
       }
@@ -137,9 +135,7 @@ class EtaSearch {
       MaybeUpdateBest(entry.path, entry.objective);
       entry.bound_state = bound_.SeedState(edge);
       entry.upper_bound = UpperBound(entry.bound_state);
-      if (entry.upper_bound > best_objective_) {
-        queue_.push(std::move(entry));
-      }
+      if (entry.upper_bound > best_objective_) Push(std::move(entry));
     }
   }
 
@@ -234,19 +230,28 @@ class EtaSearch {
   // objective, or -1. Ties go to the earliest feasible candidate, matching
   // the serial scan order at any eta_threads setting.
   int BestExtension(const CandidatePath& path, int at_stop) {
+    if (mode_ == SearchMode::kPrecomputed) {
+      // Section 6.2: rank neighbors directly by L_e, in one pass over the
+      // incident edges. Feasibility is only checked for an edge that would
+      // beat the current best; an edge that merely ties it loses to the
+      // earlier one either way.
+      const demand::RankedList& scores = ctx_->objective_list();
+      int best = -1;
+      double best_score = 0.0;
+      for (const int e : ctx_->universe().IncidentEdges(at_stop)) {
+        if (!EdgeAllowed(e)) continue;
+        const double score = scores.ValueOf(e);
+        if (best >= 0 && !(score > best_score)) continue;
+        if (!path.CanExtend(ctx_->universe(), ctx_->transit(), e, at_stop)) {
+          continue;
+        }
+        best = e;
+        best_score = score;
+      }
+      return best;
+    }
     const std::vector<int> extensions = FeasibleExtensions(path, at_stop);
     if (extensions.empty()) return -1;
-    if (mode_ == SearchMode::kPrecomputed) {
-      // Section 6.2: rank neighbors directly by L_e.
-      int best = 0;
-      for (std::size_t i = 1; i < extensions.size(); ++i) {
-        if (ctx_->objective_list().ValueOf(extensions[i]) >
-            ctx_->objective_list().ValueOf(extensions[best])) {
-          best = static_cast<int>(i);
-        }
-      }
-      return extensions[best];
-    }
     // Line 10: one Lanczos estimate per neighbor, fanned over the pool.
     std::vector<double> values;
     EvaluateExtensions(path, at_stop, extensions, /*children=*/nullptr,
@@ -305,7 +310,23 @@ class EtaSearch {
                                     entry.path.end_edge(), entry.objective)) {
       return;
     }
-    queue_.push(std::move(entry));
+    Push(std::move(entry));
+  }
+
+  // The frontier is a max-heap on O_up kept with push_heap/pop_heap —
+  // exactly the operations std::priority_queue performs, so the pop order
+  // is the same — except that the popped entry is moved out instead of
+  // copied from top().
+  void Push(QueueEntry entry) {
+    queue_.push_back(std::move(entry));
+    std::push_heap(queue_.begin(), queue_.end());
+  }
+
+  QueueEntry PopBest() {
+    std::pop_heap(queue_.begin(), queue_.end());
+    QueueEntry entry = std::move(queue_.back());
+    queue_.pop_back();
+    return entry;
   }
 
   // Re-estimate the winner's connectivity online (both modes report the
@@ -328,11 +349,16 @@ class EtaSearch {
   std::unique_ptr<WorkerPool> pool_;
   demand::IncrementalDemandBound bound_;
   DominationTable domination_;
-  std::priority_queue<QueueEntry> queue_;
+  std::vector<QueueEntry> queue_;
   PlanResult result_;
   double best_objective_ = 0.0;
+  /// Lemma 4 bound on any path's connectivity increment; only kOnline's
+  /// UpperBound reads it, so ETA-Pre never triggers the context's
+  /// eigen-solve.
   const double lambda_increment_bound_ =
-      ctx_->PathConnectivityIncrementBound(options_.k);
+      mode_ == SearchMode::kOnline
+          ? ctx_->PathConnectivityIncrementBound(options_.k)
+          : 0.0;
 };
 
 }  // namespace

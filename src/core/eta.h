@@ -2,10 +2,12 @@
 // pre-computation variant ETA-Pre (Section 6).
 //
 // The search keeps a priority queue of candidate paths ordered by their
-// objective upper bound O_up. Each iteration polls the most promising
-// candidate, extends it at both ends with the best feasible neighbor edges,
-// re-evaluates the objective, and re-enqueues the extension if its bound
-// still beats the incumbent and it survives the domination table.
+// objective upper bound O_up (a binary max-heap in a vector; the polled
+// entry is moved out, never copied). Each iteration polls the most
+// promising candidate, extends it at both ends with the best feasible
+// neighbor edges, re-evaluates the objective, and re-enqueues the
+// extension if its bound still beats the incumbent and it survives the
+// domination table.
 //
 // Two evaluation modes:
 //  * kOnline (ETA): the connectivity increment of every evaluated extension
@@ -14,9 +16,14 @@
 //    over a persistent WorkerPool — one private scratch adjacency per
 //    worker slot, all sharing the immutable estimator, reduced in serial
 //    order — so results are bit-identical at any thread count.
+//    Only this mode reads the Lemma 4 bound, so only this mode makes the
+//    context compute its top eigenvalues.
 //  * kPrecomputed (ETA-Pre): the objective is linear in the edges via the
-//    integrated ranking L_e (Equation 11); no estimator calls during the
-//    search. The winner's true connectivity is re-estimated once at the end.
+//    integrated ranking L_e (Equation 11); no estimator calls and no
+//    eigenvalues during the search. The best neighbor at each end is found
+//    in one pass over the incident edges, checking feasibility only for an
+//    edge whose L_e would beat the current best. The winner's true
+//    connectivity is re-estimated once at the end.
 #ifndef CTBUS_CORE_ETA_H_
 #define CTBUS_CORE_ETA_H_
 
@@ -54,8 +61,9 @@ struct PlanResult {
 
 /// Runs the search over a prepared context. The context is mutated only
 /// through its scratch state — the shared scratch adjacency (restored
-/// after every estimate) and, in kOnline mode with eta_threads > 1, the
-/// lazily-built per-worker evaluation units — so a const context suffices,
+/// after every estimate) and, in kOnline mode, the top eigenvalues
+/// computed on first use and (with eta_threads > 1) the lazily-built
+/// per-worker evaluation units — so a const context suffices,
 /// but one context must not serve two concurrent searches (the search owns
 /// the context's worker slots for its duration).
 PlanResult RunEta(const PlanningContext* context, SearchMode mode);

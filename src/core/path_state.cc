@@ -1,5 +1,6 @@
 #include "core/path_state.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -7,12 +8,19 @@
 
 namespace ctbus::core {
 
+namespace {
+
+bool Contains(const std::vector<int>& values, int value) {
+  return std::find(values.begin(), values.end(), value) != values.end();
+}
+
+}  // namespace
+
 CandidatePath::CandidatePath(const EdgeUniverse& universe, int edge) {
   const PlannableEdge& e = universe.edge(edge);
   edges_.push_back(edge);
   stops_ = {e.u, e.v};
-  visited_stops_ = {e.u, e.v};
-  used_road_edges_.insert(e.road_edges.begin(), e.road_edges.end());
+  road_edges_ = e.road_edges;
   demand_ = e.demand;
   num_new_edges_ = e.is_new ? 1 : 0;
 }
@@ -28,16 +36,14 @@ bool CandidatePath::CanExtend(const EdgeUniverse& universe,
   // Circle-free in the transit network: the far stop may not be revisited,
   // except to close a loop back to the opposite end of the path.
   const int opposite = at_stop == end_stop() ? begin_stop() : end_stop();
-  if ((visited_stops_.count(far) > 0) && !(far == opposite && num_edges() >= 2)) {
+  if (Contains(stops_, far) && !(far == opposite && num_edges() >= 2)) {
     return false;
   }
   // Edge reuse (also covers the 1-edge path closing onto itself).
-  for (int used : edges_) {
-    if (used == edge) return false;
-  }
+  if (Contains(edges_, edge)) return false;
   // Circle-free in the road network: no road edge crossed twice.
   for (int re : e.road_edges) {
-    if ((used_road_edges_.count(re) > 0)) return false;
+    if (Contains(road_edges_, re)) return false;
   }
   return true;
 }
@@ -62,6 +68,9 @@ void CandidatePath::Extend(const EdgeUniverse& universe,
     turns_ += 1;
   }
 
+  if (Contains(stops_, far)) {
+    closed_ = true;  // loop closure back to the opposite end
+  }
   if (at_end) {
     edges_.push_back(edge);
     stops_.push_back(far);
@@ -69,11 +78,8 @@ void CandidatePath::Extend(const EdgeUniverse& universe,
     edges_.insert(edges_.begin(), edge);
     stops_.insert(stops_.begin(), far);
   }
-  if ((visited_stops_.count(far) > 0)) {
-    closed_ = true;  // loop closure back to the opposite end
-  }
-  visited_stops_.insert(far);
-  used_road_edges_.insert(e.road_edges.begin(), e.road_edges.end());
+  road_edges_.insert(road_edges_.end(), e.road_edges.begin(),
+                     e.road_edges.end());
   demand_ += e.demand;
   if (e.is_new) ++num_new_edges_;
 }

@@ -2,10 +2,15 @@
 // sequence, turn count (Algorithm 2's angle rule), demand, and the
 // feasibility checks of Section 4.2.3 (circle-free in the transit network
 // and in the road network, turn threshold).
+//
+// The state is three flat vectors and no hash container. A path holds at
+// most k + 1 stops and a few road edges per universe edge (about 3.2 on
+// average, at most 6 on the chicago preset at scale 0.5), so the
+// feasibility checks scan short arrays, and the copy the search makes per
+// expansion is a handful of memcpys rather than a rehash.
 #ifndef CTBUS_CORE_PATH_STATE_H_
 #define CTBUS_CORE_PATH_STATE_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "core/edge_universe.h"
@@ -61,8 +66,8 @@ class CandidatePath {
  private:
   std::vector<int> edges_;
   std::vector<int> stops_;
-  std::unordered_set<int> used_road_edges_;
-  std::unordered_set<int> visited_stops_;
+  /// Road edges crossed by the path's edges, in extension order.
+  std::vector<int> road_edges_;
   int turns_ = 0;
   double demand_ = 0.0;
   int num_new_edges_ = 0;

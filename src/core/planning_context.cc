@@ -101,6 +101,14 @@ double EstimateIncrementWith(
   return lambda_after - base_lambda;
 }
 
+/// True if both option sets pin the same estimator (same probes and
+/// quadrature).
+[[maybe_unused]] bool SameEstimator(const connectivity::EstimatorOptions& a,
+                                    const connectivity::EstimatorOptions& b) {
+  return a.probes == b.probes && a.lanczos_steps == b.lanczos_steps &&
+         a.seed == b.seed && a.probe_kind == b.probe_kind;
+}
+
 /// Universe ids of every candidate (is_new) edge, in id order.
 std::vector<int> NewEdgeIds(const EdgeUniverse& universe) {
   std::vector<int> ids;
@@ -397,35 +405,70 @@ PlanningContext PlanningContext::BuildWithPrecompute(
   ctx.options_ = options;
   ctx.precompute_ = std::move(precompute);
   const EdgeUniverse& universe = ctx.precompute_->universe;
-  const std::vector<double>& increments = ctx.precompute_->increments;
 
   // Shared estimator + base connectivity.
   ctx.scratch_adjacency_ = transit.AdjacencyMatrix();
-  ctx.estimator_ = std::make_unique<connectivity::ConnectivityEstimator>(
+  ctx.estimator_ = std::make_shared<const connectivity::ConnectivityEstimator>(
       transit.num_stops(), options.online_estimator);
   ctx.base_lambda_ = ctx.estimator_->Estimate(ctx.scratch_adjacency_);
 
   // Ranked lists and Equation 12 normalization.
-  ctx.demand_list_ = demand::RankedList(universe.DemandScores());
-  ctx.increment_list_ = demand::RankedList(increments);
-  ctx.d_max_ = std::max(ctx.demand_list_.TopSum(options.k), 1e-12);
-  ctx.lambda_max_ = std::max(ctx.increment_list_.TopSum(options.k), 1e-12);
+  ctx.demand_list_ =
+      std::make_shared<const demand::RankedList>(universe.DemandScores());
+  ctx.increment_list_ = std::make_shared<const demand::RankedList>(
+      ctx.precompute_->increments);
+  ctx.d_max_ = std::max(ctx.demand_list_->TopSum(options.k), 1e-12);
+  ctx.lambda_max_ = std::max(ctx.increment_list_->TopSum(options.k), 1e-12);
+  ctx.BuildObjectiveList();
+  return ctx;
+}
 
+PlanningContext PlanningContext::WithSearchOptions(
+    const CtBusOptions& options) const {
+  // d_max / lambda_max are top-k sums and the estimator is pinned by the
+  // online estimator options, so those must match for sharing to be exact.
+  assert(options.k == options_.k);
+  assert(SameEstimator(options.online_estimator, options_.online_estimator));
+  assert(SameEstimator(options.precompute_estimator,
+                       options_.precompute_estimator));
+  PlanningContext ctx;
+  ctx.road_ = road_;
+  ctx.transit_ = transit_;
+  ctx.options_ = options;
+  ctx.precompute_ = precompute_;
+  ctx.scratch_adjacency_ = scratch_adjacency_;
+  ctx.estimator_ = estimator_;
+  ctx.base_lambda_ = base_lambda_;
+  ctx.demand_list_ = demand_list_;
+  ctx.increment_list_ = increment_list_;
+  ctx.d_max_ = d_max_;
+  ctx.lambda_max_ = lambda_max_;
+  ctx.BuildObjectiveList();
+  return ctx;
+}
+
+void PlanningContext::BuildObjectiveList() {
   // Integrated per-edge objective scores L_e (Equation 11).
+  const EdgeUniverse& universe = precompute_->universe;
   std::vector<double> objective_scores(universe.num_edges());
   for (int e = 0; e < universe.num_edges(); ++e) {
     objective_scores[e] =
-        ctx.Objective(universe.edge(e).demand, increments[e]);
+        Objective(universe.edge(e).demand, precompute_->increments[e]);
   }
-  ctx.objective_list_ = demand::RankedList(std::move(objective_scores));
+  objective_list_ = demand::RankedList(std::move(objective_scores));
+}
 
-  // Top eigenvalues for the Lemma 3/4 bounds.
-  const int needed = std::max(2 * options.k, 2);
-  linalg::Rng eig_rng(options.online_estimator.seed ^ 0x9e3779b9ULL);
-  ctx.top_eigenvalues_ = linalg::TopEigenvalues(
-      ctx.scratch_adjacency_, std::min(needed, transit.num_stops()),
-      std::min(transit.num_stops(), needed + 30), &eig_rng);
-  return ctx;
+const std::vector<double>& PlanningContext::top_eigenvalues() const {
+  if (top_eigenvalues_.empty()) {
+    // Enough eigenvalues for the Lemma 3/4 bounds at the configured k.
+    const int needed = std::max(2 * options_.k, 2);
+    const int n = transit_->num_stops();
+    linalg::Rng eig_rng(options_.online_estimator.seed ^ 0x9e3779b9ULL);
+    top_eigenvalues_ =
+        linalg::TopEigenvalues(scratch_adjacency_, std::min(needed, n),
+                               std::min(n, needed + 30), &eig_rng);
+  }
+  return top_eigenvalues_;
 }
 
 double PlanningContext::Objective(double demand,
@@ -471,8 +514,8 @@ int PlanningContext::num_online_eval_units_built() const {
 
 std::size_t PlanningContext::ApproxBytes() const {
   std::size_t bytes = sizeof(PlanningContext) + precompute_->ApproxBytes() +
-                      demand_list_.ApproxBytes() +
-                      increment_list_.ApproxBytes() +
+                      demand_list_->ApproxBytes() +
+                      increment_list_->ApproxBytes() +
                       objective_list_.ApproxBytes() +
                       estimator_->ApproxBytes() +
                       scratch_adjacency_.ApproxBytes() +
@@ -495,7 +538,7 @@ double PlanningContext::LinearConnectivityIncrement(
 
 double PlanningContext::PathConnectivityIncrementBound(int k) const {
   const double bound = connectivity::PathUpperBound(
-      base_lambda_, top_eigenvalues_, k, transit_->num_stops());
+      base_lambda_, top_eigenvalues(), k, transit_->num_stops());
   return bound - base_lambda_;
 }
 

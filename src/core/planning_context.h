@@ -3,6 +3,14 @@
 // ranked lists (L_d, L_lambda, L_e), the shared connectivity estimator with
 // its base-network estimate, the top eigenvalues feeding the Lemma 3/4
 // bounds, and the Equation 12 normalization constants.
+//
+// A context build does only the work every answer reads: the base
+// estimate, the ranked lists and the normalization. The top eigenvalues
+// feed only online ETA's Lemma 4 bound, so they are computed on first use;
+// ETA-Pre and vk-TSP never pay for the eigen-solve. WithSearchOptions
+// derives a sibling for a different objective weight or edge restriction
+// (vk-TSP's w = 1, new-edges-only search): it shares every immutable part
+// and rebuilds only L_e.
 #ifndef CTBUS_CORE_PLANNING_CONTEXT_H_
 #define CTBUS_CORE_PLANNING_CONTEXT_H_
 
@@ -162,8 +170,10 @@ class PlanningContext {
   const EdgeUniverse& universe() const { return precompute_->universe; }
 
   /// L_d, L_lambda, L_e over universe edge ids.
-  const demand::RankedList& demand_list() const { return demand_list_; }
-  const demand::RankedList& increment_list() const { return increment_list_; }
+  const demand::RankedList& demand_list() const { return *demand_list_; }
+  const demand::RankedList& increment_list() const {
+    return *increment_list_;
+  }
   const demand::RankedList& objective_list() const { return objective_list_; }
 
   /// Delta(e) per universe edge (0 for existing edges).
@@ -184,10 +194,11 @@ class PlanningContext {
   }
 
   /// Top eigenvalues of the base adjacency (descending), enough for the
-  /// Lemma 3/4 bounds at the configured k.
-  const std::vector<double>& top_eigenvalues() const {
-    return top_eigenvalues_;
-  }
+  /// Lemma 3/4 bounds at the configured k. Computed on first use from the
+  /// scratch adjacency, so it has the scratch adjacency's contract: const
+  /// but NOT thread-safe per context, and never called while an estimate
+  /// has path edges staged (the search thread calls it before forking).
+  const std::vector<double>& top_eigenvalues() const;
 
   const PrecomputeStats& precompute_stats() const {
     return precompute_->stats;
@@ -209,6 +220,17 @@ class PlanningContext {
   std::shared_ptr<const Precompute> SharePrecompute() const {
     return precompute_;
   }
+
+  /// A sibling context for a search that differs from this one only in
+  /// query-time options: w, new_edges_only, Tn, sn, the iteration cap and
+  /// the Algorithm 1 variant toggles. `options` must keep this context's k
+  /// and estimator options (asserted). The sibling shares the precompute,
+  /// the estimator, lambda(G_r), L_d, L_lambda, d_max and lambda_max,
+  /// copies the scratch adjacency (so it reads this context's scratch
+  /// state: same single-thread contract), and rebuilds only L_e
+  /// (Equation 11 weighs by w). Bit-identical to
+  /// BuildWithPrecompute(road(), transit(), options, SharePrecompute()).
+  PlanningContext WithSearchOptions(const CtBusOptions& options) const;
 
   /// Normalized objective (Equation 3) from raw demand and connectivity
   /// increment.
@@ -260,6 +282,9 @@ class PlanningContext {
  private:
   PlanningContext() = default;
 
+  /// Builds L_e (Equation 11) from the shared lists and normalization.
+  void BuildObjectiveList();
+
   /// One worker slot's private online-evaluation state; see
   /// OnlineConnectivityIncrementOnSlot.
   struct OnlineEvalUnit {
@@ -270,10 +295,11 @@ class PlanningContext {
   const graph::TransitNetwork* transit_ = nullptr;
   CtBusOptions options_;
   std::shared_ptr<const Precompute> precompute_;
-  demand::RankedList demand_list_;
-  demand::RankedList increment_list_;
+  /// L_d and L_lambda depend only on the precompute; siblings share them.
+  std::shared_ptr<const demand::RankedList> demand_list_;
+  std::shared_ptr<const demand::RankedList> increment_list_;
   demand::RankedList objective_list_;
-  std::unique_ptr<connectivity::ConnectivityEstimator> estimator_;
+  std::shared_ptr<const connectivity::ConnectivityEstimator> estimator_;
   mutable linalg::SymmetricSparseMatrix scratch_adjacency_;
   /// Lazily-built per-worker evaluation units (indexed by worker slot).
   /// The vector itself is only resized by ReserveOnlineEvalSlots; each
@@ -281,7 +307,8 @@ class PlanningContext {
   /// never race.
   mutable std::vector<std::unique_ptr<OnlineEvalUnit>> online_eval_units_;
   double base_lambda_ = 0.0;
-  std::vector<double> top_eigenvalues_;
+  /// Empty until top_eigenvalues() first runs the eigen-solve.
+  mutable std::vector<double> top_eigenvalues_;
   double d_max_ = 1.0;
   double lambda_max_ = 1.0;
 };
