@@ -1,6 +1,6 @@
 // Ablation: Delta(e) pre-computation strategies.
-//   (a) stochastic — one common-random-numbers trace estimate per candidate
-//       edge (the paper's approach, Section 6);
+//   (a) quadrature — one deterministic hop-ball Lanczos quadrature per
+//       candidate edge over one estimated base trace (the default);
 //   (b) perturbation — one top-eigenpair Lanczos run, then O(m) per edge
 //       (the paper's Section 8 future work, implemented here).
 // Compares pre-computation time, the agreement of the resulting rankings,
@@ -19,11 +19,11 @@ namespace {
 void RunCity(const ctbus::gen::Dataset& city, ctbus::eval::Table* table) {
   ctbus::bench::PrintDataset(city);
 
-  auto stochastic_options = ctbus::bench::BenchOptions();
-  ctbus::bench::Stopwatch stochastic_timer;
-  auto stochastic_pre = ctbus::core::PlanningContext::RunPrecompute(
-      city.road, city.transit, stochastic_options);
-  const double stochastic_seconds = stochastic_timer.Seconds();
+  auto quadrature_options = ctbus::bench::BenchOptions();
+  ctbus::bench::Stopwatch quadrature_timer;
+  auto quadrature_pre = ctbus::core::PlanningContext::RunPrecompute(
+      city.road, city.transit, quadrature_options);
+  const double quadrature_seconds = quadrature_timer.Seconds();
 
   auto perturbation_options = ctbus::bench::BenchOptions();
   perturbation_options.use_perturbation_precompute = true;
@@ -43,7 +43,7 @@ void RunCity(const ctbus::gen::Dataset& city, ctbus::eval::Table* table) {
     std::sort(ids.begin(), ids.end());
     return ids;
   };
-  const auto top_a = top_edges(stochastic_pre);
+  const auto top_a = top_edges(quadrature_pre);
   const auto top_b = top_edges(perturbation_pre);
   std::vector<int> common;
   std::set_intersection(top_a.begin(), top_a.end(), top_b.begin(),
@@ -56,15 +56,15 @@ void RunCity(const ctbus::gen::Dataset& city, ctbus::eval::Table* table) {
         city.road, city.transit, options, std::move(pre));
     return ctbus::core::RunEta(&ctx, ctbus::core::SearchMode::kPrecomputed);
   };
-  const auto route_a = plan(stochastic_pre, stochastic_options);
+  const auto route_a = plan(quadrature_pre, quadrature_options);
   const auto route_b = plan(perturbation_pre, perturbation_options);
 
   // Demand and the online-estimated connectivity increment are comparable
   // across strategies (each context's normalized objective is not, since
   // lambda_max differs with the increment scale).
-  table->AddRow({city.name, "stochastic",
-                 ctbus::eval::Table::Num(stochastic_pre.stats.increments_seconds, 3),
-                 ctbus::eval::Table::Num(stochastic_seconds, 3),
+  table->AddRow({city.name, "quadrature",
+                 ctbus::eval::Table::Num(quadrature_pre.stats.increments_seconds, 3),
+                 ctbus::eval::Table::Num(quadrature_seconds, 3),
                  ctbus::eval::Table::Int(static_cast<int>(common.size())),
                  ctbus::eval::Table::Num(route_a.connectivity_increment, 4),
                  ctbus::eval::Table::Num(route_a.demand / 1e6, 2)});
@@ -81,7 +81,7 @@ void RunCity(const ctbus::gen::Dataset& city, ctbus::eval::Table* table) {
 
 int main() {
   ctbus::bench::PrintHeader(
-      "Ablation: Delta(e) pre-computation — stochastic vs perturbation",
+      "Ablation: Delta(e) pre-computation — quadrature vs perturbation",
       "(extension) Section 8 future work: perturbation theory should cut "
       "the pre-computation cost while preserving route quality");
   const double scale = ctbus::bench::GetScale();
@@ -93,10 +93,10 @@ int main() {
   std::printf("\n");
   table.Print(std::cout);
   std::printf(
-      "\nshape check: perturbation pre-computation is 2-3 orders of "
-      "magnitude faster. Its first-order, top-eigenpair view re-orders "
-      "the mid-ranking (modest top-100 overlap) but the planned routes' "
-      "independently re-estimated connectivity increments and demands "
-      "stay comparable — the ranking quality ETA-Pre needs survives.\n");
+      "\nshape check: the perturbation pre-computation is a few times "
+      "faster than the ball quadrature, but its first-order, "
+      "top-eigenpair view re-orders the ranking (modest top-100 overlap; "
+      "Spearman ~0.4-0.5 against the exact oracle where the quadrature "
+      "reaches 1.000, see bench_increment_accuracy).\n");
   return 0;
 }

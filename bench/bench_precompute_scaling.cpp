@@ -247,8 +247,8 @@ int main() {
     report.AddDataset(city);
     std::printf("\n");
 
-    ctbus::core::CtBusOptions stochastic = ctbus::bench::BenchOptions();
-    ThreadScalingSection(city, stochastic, "stochastic", &report);
+    ctbus::core::CtBusOptions quadrature = ctbus::bench::BenchOptions();
+    ThreadScalingSection(city, quadrature, "quadrature", &report);
 
     ctbus::core::CtBusOptions perturbation = ctbus::bench::BenchOptions();
     perturbation.use_perturbation_precompute = true;
@@ -256,9 +256,9 @@ int main() {
   }
 
   {
-    ctbus::core::CtBusOptions stochastic = ctbus::bench::BenchOptions();
-    WarmStartSection(ctbus::gen::MakeChicagoLike(scale), stochastic,
-                     "stochastic", &report);
+    ctbus::core::CtBusOptions quadrature = ctbus::bench::BenchOptions();
+    WarmStartSection(ctbus::gen::MakeChicagoLike(scale), quadrature,
+                     "quadrature", &report);
 
     ctbus::core::CtBusOptions perturbation = ctbus::bench::BenchOptions();
     perturbation.use_perturbation_precompute = true;

@@ -1,5 +1,6 @@
 #include "connectivity/natural_connectivity.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -24,6 +25,10 @@ double NaturalConnectivityExact(const linalg::SymmetricSparseMatrix& a) {
   double scaled_sum = 0.0;
   for (double w : eigenvalues) scaled_sum += std::exp(w - lambda_max);
   return lambda_max + std::log(scaled_sum) - std::log(static_cast<double>(n));
+}
+
+double NaturalConnectivityFromTrace(double trace, int n) {
+  return std::log(std::max(trace, 1e-300) / static_cast<double>(n));
 }
 
 double NaturalConnectivityEstimate(const linalg::SymmetricSparseMatrix& a,
@@ -56,16 +61,9 @@ double ConnectivityEstimator::EstimateTraceExp(const linalg::MatVec& a) const {
   return linalg::EstimateTraceExpWithProbes(a, probes_, lanczos_steps_);
 }
 
-double ConnectivityEstimator::LogOverDim(double trace) const {
-  // The stochastic estimate of a positive trace can in principle come out
-  // non-positive for adversarial probe draws; clamp to a tiny value so the
-  // log stays defined.
-  return std::log(std::max(trace, 1e-300) / static_cast<double>(dim_));
-}
-
 double ConnectivityEstimator::Estimate(const linalg::MatVec& a) const {
   if (dim_ == 0) return -std::numeric_limits<double>::infinity();
-  return LogOverDim(EstimateTraceExp(a));
+  return NaturalConnectivityFromTrace(EstimateTraceExp(a), dim_);
 }
 
 }  // namespace ctbus::connectivity

@@ -40,6 +40,11 @@ struct EstimatorOptions {
 /// Returns -inf for an empty matrix (n = 0).
 double NaturalConnectivityExact(const linalg::SymmetricSparseMatrix& a);
 
+/// lambda = ln(trace / n) for a trace of e^A, with the trace clamped to a
+/// tiny positive value (a stochastic estimate can in principle come out
+/// non-positive for adversarial probe draws) so the log stays defined.
+double NaturalConnectivityFromTrace(double trace, int n);
+
 /// One-shot stochastic estimate with fresh probes drawn from `options.seed`.
 double NaturalConnectivityEstimate(const linalg::SymmetricSparseMatrix& a,
                                    const EstimatorOptions& options);
@@ -88,8 +93,6 @@ class ConnectivityEstimator {
   }
 
  private:
-  double LogOverDim(double trace) const;
-
   int dim_;
   int lanczos_steps_;
   std::vector<std::vector<double>> probes_;

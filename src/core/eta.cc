@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/domination_table.h"
@@ -79,14 +80,20 @@ class EtaSearch {
   }
 
  private:
-  // Objective of a candidate path under the active mode.
-  double Evaluate(const CandidatePath& path) {
+  // Connectivity increment of a candidate path under the active mode.
+  double Increment(const CandidatePath& path) const {
     if (mode_ == SearchMode::kPrecomputed) {
-      return ctx_->Objective(path.demand(),
-                             ctx_->LinearConnectivityIncrement(path.edges()));
+      return ctx_->LinearConnectivityIncrement(path.edges());
     }
-    return ctx_->Objective(path.demand(),
-                           ctx_->OnlineConnectivityIncrement(path.edges()));
+    return ctx_->OnlineConnectivityIncrement(path.edges());
+  }
+
+  // The online increment behind an objective, when there is one: kOnline
+  // scores every non-seed path with an online estimate, which
+  // FinalizeResult can then carry instead of re-estimating.
+  std::optional<double> OnlineOnly(double increment) const {
+    if (mode_ != SearchMode::kOnline) return std::nullopt;
+    return increment;
   }
 
   // Linearized objective (used for seeds in both modes; for online mode the
@@ -108,11 +115,15 @@ class EtaSearch {
     return !options_.new_edges_only || ctx_->universe().edge(edge).is_new;
   }
 
-  void MaybeUpdateBest(const CandidatePath& path, double objective) {
+  // `online_increment` is the online estimate `objective` was scored
+  // with, or nullopt for a linear (ranked-list) score.
+  void MaybeUpdateBest(const CandidatePath& path, double objective,
+                       std::optional<double> online_increment) {
     if (path.turns() > options_.max_turns) return;  // infeasible as a route
     if (path.num_edges() > options_.k) return;      // over the edge budget
     if (objective > best_objective_) {
       best_objective_ = objective;
+      best_online_increment_ = online_increment;
       result_.found = true;
       result_.path = path;
       result_.objective = objective;
@@ -132,7 +143,7 @@ class EtaSearch {
       QueueEntry entry;
       entry.path = CandidatePath(ctx_->universe(), edge);
       entry.objective = EvaluateLinear(entry.path);
-      MaybeUpdateBest(entry.path, entry.objective);
+      MaybeUpdateBest(entry.path, entry.objective, std::nullopt);
       entry.bound_state = bound_.SeedState(edge);
       entry.upper_bound = UpperBound(entry.bound_state);
       if (entry.upper_bound > best_objective_) Push(std::move(entry));
@@ -155,10 +166,15 @@ class EtaSearch {
   // Lines 7-16: pick the best beginning edge `be` and ending edge `ee` by
   // objective, extend both ends, evaluate, and re-enqueue.
   void ExpandBestNeighbor(QueueEntry entry) {
+    // kOnline: objective and increment of the last extension BestExtension
+    // picked — exactly entry.path once both ends are grown.
+    double objective = 0.0;
+    double increment = 0.0;
     // Best extension at the end (respecting the k-edge budget).
     int best_end = -1;
     if (entry.path.num_edges() < options_.k) {
-      best_end = BestExtension(entry.path, entry.path.end_stop());
+      best_end = BestExtension(entry.path, entry.path.end_stop(), &objective,
+                               &increment);
       if (best_end >= 0) {
         entry.path.Extend(ctx_->universe(), ctx_->transit(), best_end,
                           entry.path.end_stop());
@@ -168,7 +184,8 @@ class EtaSearch {
     // Best extension at the beginning (re-validated against the grown path).
     int best_begin = -1;
     if (entry.path.num_edges() < options_.k) {
-      best_begin = BestExtension(entry.path, entry.path.begin_stop());
+      best_begin = BestExtension(entry.path, entry.path.begin_stop(),
+                                 &objective, &increment);
       if (best_begin >= 0) {
         entry.path.Extend(ctx_->universe(), ctx_->transit(), best_begin,
                           entry.path.begin_stop());
@@ -177,8 +194,15 @@ class EtaSearch {
     }
     if (best_end < 0 && best_begin < 0) return;  // dead end
 
-    entry.objective = Evaluate(entry.path);  // Line 13
-    MaybeUpdateBest(entry.path, entry.objective);
+    // Line 13. kOnline reuses the last BestExtension's estimate: it staged
+    // the same edges in the same order, so re-estimating gives the same
+    // bits.
+    if (mode_ == SearchMode::kPrecomputed) {
+      increment = Increment(entry.path);
+      objective = ctx_->Objective(entry.path.demand(), increment);
+    }
+    entry.objective = objective;
+    MaybeUpdateBest(entry.path, entry.objective, OnlineOnly(increment));
     FurtherExpansion(std::move(entry));
   }
 
@@ -208,8 +232,9 @@ class EtaSearch {
           FeasibleExtensions(entry.path, at_stop);
       std::vector<CandidatePath> children;
       std::vector<double> objectives;
+      std::vector<double> increments;
       EvaluateExtensions(entry.path, at_stop, extensions, &children,
-                         &objectives);
+                         &objectives, &increments);
       // The pruning pass stays serial and in candidate order: objectives
       // never depend on the incumbent, so evaluating them up front (and,
       // with a pool, concurrently) leaves best_objective_'s evolution —
@@ -220,7 +245,8 @@ class EtaSearch {
         child.path = std::move(children[i]);
         child.bound_state = bound_.Append(entry.bound_state, extensions[i]);
         child.objective = objectives[i];
-        MaybeUpdateBest(child.path, child.objective);
+        MaybeUpdateBest(child.path, child.objective,
+                        OnlineOnly(increments[i]));
         FurtherExpansion(std::move(child));
       }
     }
@@ -228,8 +254,11 @@ class EtaSearch {
 
   // Returns the feasible extension edge with the highest resulting
   // objective, or -1. Ties go to the earliest feasible candidate, matching
-  // the serial scan order at any eta_threads setting.
-  int BestExtension(const CandidatePath& path, int at_stop) {
+  // the serial scan order at any eta_threads setting. In kOnline mode a
+  // found edge's objective and online increment go to *objective and
+  // *increment; kPrecomputed leaves them alone.
+  int BestExtension(const CandidatePath& path, int at_stop, double* objective,
+                    double* increment) {
     if (mode_ == SearchMode::kPrecomputed) {
       // Section 6.2: rank neighbors directly by L_e, in one pass over the
       // incident edges. Feasibility is only checked for an edge that would
@@ -254,17 +283,21 @@ class EtaSearch {
     if (extensions.empty()) return -1;
     // Line 10: one Lanczos estimate per neighbor, fanned over the pool.
     std::vector<double> values;
+    std::vector<double> increments;
     EvaluateExtensions(path, at_stop, extensions, /*children=*/nullptr,
-                       &values);
+                       &values, &increments);
     int best = 0;
     for (std::size_t i = 1; i < values.size(); ++i) {
       if (values[i] > values[best]) best = static_cast<int>(i);
     }
+    *objective = values[best];
+    *increment = increments[best];
     return extensions[best];
   }
 
   // Objectives of `path` extended by each edge of `extensions` at
-  // `at_stop`, written into `objectives` (and the extended paths into
+  // `at_stop`, written into `objectives` with the connectivity increments
+  // they were scored with in `increments` (and the extended paths into
   // `children`, when requested). With a pool (kOnline, eta_threads > 1)
   // the evaluations fan out over stable worker-slot ids; each slot's
   // evaluation unit is bit-identical to the shared serial path (see
@@ -273,20 +306,22 @@ class EtaSearch {
   void EvaluateExtensions(const CandidatePath& path, int at_stop,
                           const std::vector<int>& extensions,
                           std::vector<CandidatePath>* children,
-                          std::vector<double>* objectives) {
+                          std::vector<double>* objectives,
+                          std::vector<double>* increments) {
     const int n = static_cast<int>(extensions.size());
     objectives->resize(n);
+    increments->resize(n);
     if (children != nullptr) children->resize(n);
     const auto evaluate_one = [&](int slot, int i) {
       CandidatePath extended = path;
       extended.Extend(ctx_->universe(), ctx_->transit(), extensions[i],
                       at_stop);
-      (*objectives)[i] =
-          slot >= 0
-              ? ctx_->Objective(extended.demand(),
-                                ctx_->OnlineConnectivityIncrementOnSlot(
-                                    slot, extended.edges()))
-              : Evaluate(extended);  // Line 10/13 on the shared scratch
+      const double increment =
+          slot >= 0 ? ctx_->OnlineConnectivityIncrementOnSlot(
+                          slot, extended.edges())
+                    : Increment(extended);  // Line 10 on the shared scratch
+      (*increments)[i] = increment;
+      (*objectives)[i] = ctx_->Objective(extended.demand(), increment);
       if (children != nullptr) (*children)[i] = std::move(extended);
     };
     if (pool_ != nullptr && n > 1) {
@@ -329,14 +364,18 @@ class EtaSearch {
     return entry;
   }
 
-  // Re-estimate the winner's connectivity online (both modes report the
-  // Lanczos-estimated increment, as the paper does for ETA-Pre's last
-  // point in Figure 9).
+  // Report the winner's online connectivity increment (both modes report
+  // the Lanczos-estimated increment, as the paper does for ETA-Pre's last
+  // point in Figure 9). An incumbent kOnline already scored online keeps
+  // that estimate — the same bits a re-estimate would give; ETA-Pre's
+  // winners and online ETA's seeds are estimated here.
   void FinalizeResult() {
     if (!result_.found) return;
     result_.demand = result_.path.demand();
     result_.connectivity_increment =
-        ctx_->OnlineConnectivityIncrement(result_.path.edges());
+        best_online_increment_.has_value()
+            ? *best_online_increment_
+            : ctx_->OnlineConnectivityIncrement(result_.path.edges());
     result_.objective =
         ctx_->Objective(result_.demand, result_.connectivity_increment);
   }
@@ -352,6 +391,9 @@ class EtaSearch {
   std::vector<QueueEntry> queue_;
   PlanResult result_;
   double best_objective_ = 0.0;
+  /// The online increment the incumbent was scored with (see
+  /// MaybeUpdateBest); nullopt until an online-scored path leads.
+  std::optional<double> best_online_increment_;
   /// Lemma 4 bound on any path's connectivity increment; only kOnline's
   /// UpperBound reads it, so ETA-Pre never triggers the context's
   /// eigen-solve.

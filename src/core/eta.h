@@ -48,8 +48,10 @@ struct PlanResult {
   double objective = 0.0;
   /// Raw commuting demand O_d(mu).
   double demand = 0.0;
-  /// Raw connectivity increment O_lambda(mu), re-estimated online for the
-  /// final path in both modes.
+  /// Raw connectivity increment O_lambda(mu), the online estimate for the
+  /// final path in both modes (kOnline carries the estimate the search
+  /// already made for it; a seed or an ETA-Pre winner is estimated once at
+  /// the end).
   double connectivity_increment = 0.0;
   /// Iterations executed (polls surviving the termination check).
   int iterations = 0;

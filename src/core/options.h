@@ -42,16 +42,17 @@ struct CtBusOptions {
   /// ctbus-lint: key-exempt(online estimator runs per query inside ETA; the precompute uses precompute_estimator)
   connectivity::EstimatorOptions online_estimator;
 
-  /// Estimator used for the Delta(e) pre-computation pass. Cheaper than the
-  /// online one because it runs once per candidate edge.
+  /// Estimator of the Delta(e) pre-computation's one stochastic number,
+  /// the base trace tr e^A (Precompute::base_trace) that every candidate's
+  /// quadrature trace increment is divided by. The candidates themselves
+  /// are computed deterministically (connectivity::EdgeTraceIncrement).
   connectivity::EstimatorOptions precompute_estimator = {
       /*probes=*/8, /*lanczos_steps=*/8, /*seed=*/11};
 
   /// Worker threads for the Delta(e) pre-computation loop (the dominant
   /// Table 4 cost). 1 = serial; 0 or negative = hardware concurrency. The
-  /// result is bit-identical at any thread count (the shards share one
-  /// immutable estimator and each owns a scratch adjacency; see
-  /// docs/PRECOMPUTE.md), so this knob
+  /// result is bit-identical at any thread count (the shards only read the
+  /// shared adjacency and base trace; see docs/PRECOMPUTE.md), so this knob
   /// is deliberately NOT part of the precompute cache key.
   /// ctbus-lint: key-exempt(bit-identical at any thread count — keying would fragment the cache)
   int precompute_threads = 1;
@@ -74,25 +75,25 @@ struct CtBusOptions {
   /// Prune the Delta(e) precompute loop with the Lemma 3/4-style
   /// per-candidate screen (connectivity/candidate_pruning.h): candidates
   /// whose bounded increment cannot reach the prune_keep_rank-th largest
-  /// estimated increment are skipped, and the bound is stored in place of
-  /// the estimate (flagged in Precompute::pruned). Surviving candidates'
-  /// estimates are bit-identical to an unpruned run; pruned entries hold a
+  /// computed increment are skipped, and the bound is stored in place of
+  /// the value (flagged in Precompute::pruned). Surviving candidates'
+  /// values are bit-identical to an unpruned run; pruned entries hold a
   /// (larger) upper bound, so the stored table itself differs — which is
   /// why this flag and prune_keep_rank ARE part of the precompute cache
   /// key, unlike the thread knobs. Off by default: the golden-trace gate
-  /// replays byte-exact planner checksums. Stochastic path only (the
+  /// replays byte-exact planner checksums. Quadrature path only (the
   /// perturbation model is already O(m) per edge). See docs/PRECOMPUTE.md.
   bool prune_candidates = false;
 
   /// With prune_candidates: how many top candidates (by screen bound, and
-  /// independently by demand) are always estimated, and the rank whose
-  /// estimated value forms the pruning cutoff. Larger = safer + slower.
+  /// independently by demand) are always computed, and the rank whose
+  /// computed value forms the pruning cutoff. Larger = safer + slower.
   /// Deliberately independent of k so the precompute stays sweepable
   /// across k / w / Tn / sn.
   int prune_keep_rank = 128;
 
   /// Use the first-order perturbation model for Delta(e) pre-computation
-  /// instead of per-edge stochastic trace estimation: one top-eigenpair
+  /// instead of the per-edge ball quadrature: one top-eigenpair
   /// Lanczos run, then O(m) per candidate edge. Implements the paper's
   /// Section 8 future work; see connectivity/perturbation.h and the
   /// bench_ablation_precompute comparison.

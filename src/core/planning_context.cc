@@ -22,30 +22,34 @@ namespace ctbus::core {
 
 namespace {
 
-/// Delta(e) via one stochastic trace estimate per edge, for the universe
-/// edges listed in `todo`, sharded over `num_threads` workers. The shards
-/// share one immutable estimator (probes pinned from
-/// options.precompute_estimator.seed) and each owns a fresh adjacency
-/// copy, so each edge's result is independent of sharding — bit-identical
+/// The precompute's one stochastic estimate: tr e^A of the base network,
+/// through the estimator options.precompute_estimator pins.
+double EstimateBaseTrace(const linalg::SymmetricSparseMatrix& adjacency,
+                         const CtBusOptions& options) {
+  return connectivity::ConnectivityEstimator(adjacency.dim(),
+                                             options.precompute_estimator)
+      .EstimateTraceExp(adjacency);
+}
+
+/// Delta(e) by the ball quadrature (connectivity::EdgeTraceIncrement) over
+/// the base trace, for the universe edges listed in `todo`, sharded over
+/// `num_threads` workers. The kernel only reads the shared adjacency and
+/// each edge's result lands in its own slot, so the table is bit-identical
 /// to a serial run.
-void ComputeStochasticIncrements(const graph::TransitNetwork& transit,
-                                 const CtBusOptions& options,
+void ComputeQuadratureIncrements(const linalg::SymmetricSparseMatrix& adjacency,
+                                 double base_trace,
                                  const EdgeUniverse& universe,
                                  const std::vector<int>& todo,
                                  int num_threads,
                                  std::vector<double>* increments) {
-  const connectivity::ConnectivityEstimator estimator(
-      transit.num_stops(), options.precompute_estimator);
-  const double base = estimator.Estimate(transit.AdjacencyMatrix());
   ParallelFor(static_cast<int>(todo.size()), num_threads,
               [&](int /*shard*/, int begin, int end) {
-                linalg::SymmetricSparseMatrix adjacency =
-                    transit.AdjacencyMatrix();
                 for (int i = begin; i < end; ++i) {
                   const PlannableEdge& edge = universe.edge(todo[i]);
-                  (*increments)[todo[i]] = std::max(
-                      0.0, connectivity::EdgeIncrement(
-                               &adjacency, base, estimator, edge.u, edge.v));
+                  (*increments)[todo[i]] = connectivity::IncrementFromTrace(
+                      connectivity::EdgeTraceIncrement(adjacency, edge.u,
+                                                       edge.v),
+                      base_trace);
                 }
               });
 }
@@ -53,16 +57,10 @@ void ComputeStochasticIncrements(const graph::TransitNetwork& transit,
 /// Delta(e) via the first-order perturbation model: one Lanczos eigenpair
 /// run on the calling thread, then the O(m)-per-edge evaluations sharded
 /// over `num_threads` workers (the model is immutable, so shards share it).
-void ComputePerturbationIncrements(const graph::TransitNetwork& transit,
-                                   const CtBusOptions& options,
-                                   const EdgeUniverse& universe,
-                                   const std::vector<int>& todo,
-                                   int num_threads,
-                                   std::vector<double>* increments) {
-  const linalg::SymmetricSparseMatrix adjacency = transit.AdjacencyMatrix();
-  const connectivity::ConnectivityEstimator estimator(
-      transit.num_stops(), options.precompute_estimator);
-  const double base_trace = estimator.EstimateTraceExp(adjacency);
+void ComputePerturbationIncrements(
+    const linalg::SymmetricSparseMatrix& adjacency, double base_trace,
+    const EdgeUniverse& universe, const std::vector<int>& todo,
+    int num_threads, std::vector<double>* increments) {
   const auto model = connectivity::PerturbationIncrementModel::Build(
       adjacency, std::max(base_trace, 1e-12), {});
   ParallelFor(static_cast<int>(todo.size()), num_threads,
@@ -119,29 +117,28 @@ std::vector<int> NewEdgeIds(const EdgeUniverse& universe) {
   return ids;
 }
 
-/// Runs the configured Delta(e) pass for `todo` and accumulates the stats
-/// (the pruning screen runs two passes per precompute, so the counters
-/// add up rather than overwrite).
-void RunIncrementPass(const graph::TransitNetwork& transit,
+/// Runs the configured Delta(e) pass for `todo` against pre->base_trace
+/// and accumulates the stats (the pruning screen runs two passes per
+/// precompute, so the counters add up rather than overwrite).
+void RunIncrementPass(const linalg::SymmetricSparseMatrix& adjacency,
                       const CtBusOptions& options,
-                      const EdgeUniverse& universe,
                       const std::vector<int>& todo, Precompute* pre) {
   if (todo.empty()) return;
   const int threads =
       std::max(1, std::min(ResolveThreadCount(options.precompute_threads),
                            static_cast<int>(todo.size())));
   if (options.use_perturbation_precompute) {
-    ComputePerturbationIncrements(transit, options, universe, todo, threads,
-                                  &pre->increments);
+    ComputePerturbationIncrements(adjacency, pre->base_trace, pre->universe,
+                                  todo, threads, &pre->increments);
   } else {
-    ComputeStochasticIncrements(transit, options, universe, todo, threads,
-                                &pre->increments);
+    ComputeQuadratureIncrements(adjacency, pre->base_trace, pre->universe,
+                                todo, threads, &pre->increments);
   }
   pre->stats.num_increments_recomputed += static_cast<int>(todo.size());
   pre->stats.threads_used = std::max(pre->stats.threads_used, threads);
 }
 
-/// True when the Lemma 3/4 candidate screen applies: the stochastic path
+/// True when the Lemma 3/4 candidate screen applies: the quadrature path
 /// with CtBusOptions::prune_candidates set (the perturbation model is
 /// already O(m) per candidate — nothing worth skipping).
 bool PruningActive(const CtBusOptions& options) {
@@ -159,25 +156,23 @@ bool PruningActive(const CtBusOptions& options) {
 ///   2. Estimate every remaining candidate whose bound exceeds c; the
 ///      rest store their bound with pruned[e] = 1 — a value <= c, so it
 ///      cannot displace any top-keep_rank estimate in the ranked lists.
-/// Estimates are per-edge independent (fresh scratch adjacency, pinned
-/// probes), so survivors are bit-identical to an unpruned run.
-void PruneAndEstimateIncrements(const graph::TransitNetwork& transit,
+/// Quadrature values are per-edge independent (each reads only the shared
+/// adjacency), so survivors are bit-identical to an unpruned run.
+void PruneAndEstimateIncrements(const linalg::SymmetricSparseMatrix& adjacency,
                                 const CtBusOptions& options,
-                                const EdgeUniverse& universe,
                                 const std::vector<int>& todo,
                                 const std::vector<char>& filled,
                                 Precompute* pre) {
   if (todo.empty()) return;
+  const EdgeUniverse& universe = pre->universe;
   const int keep = std::max(1, options.prune_keep_rank);
   const std::size_t count = todo.size();
 
-  // The screen shares the estimator's own baseline lambda(G): bounds and
-  // estimates must be measured against the same base for the cutoff
-  // comparison to be meaningful.
-  const linalg::SymmetricSparseMatrix adjacency = transit.AdjacencyMatrix();
-  const connectivity::ConnectivityEstimator estimator(
-      transit.num_stops(), options.precompute_estimator);
-  const double base_lambda = estimator.Estimate(adjacency);
+  // The screen's baseline lambda(G) comes from the same base trace the
+  // quadrature values are normalized by: bounds and values must be
+  // measured against one base for the cutoff comparison to be meaningful.
+  const double base_lambda = connectivity::NaturalConnectivityFromTrace(
+      pre->base_trace, adjacency.dim());
   const connectivity::CandidateScreen screen =
       connectivity::CandidateScreen::Build(
           adjacency, base_lambda, options.precompute_estimator.lanczos_steps,
@@ -217,7 +212,7 @@ void PruneAndEstimateIncrements(const graph::TransitNetwork& transit,
   for (std::size_t i = 0; i < count; ++i) {
     if (in_phase1[i]) phase1.push_back(todo[i]);
   }
-  RunIncrementPass(transit, options, universe, phase1, pre);
+  RunIncrementPass(adjacency, options, phase1, pre);
 
   // Cutoff: the keep-th largest known-final estimate (phase-1 results
   // plus warm-start carries). With fewer than `keep` estimates in hand,
@@ -250,7 +245,7 @@ void PruneAndEstimateIncrements(const graph::TransitNetwork& transit,
       ++num_pruned;
     }
   }
-  RunIncrementPass(transit, options, universe, phase2, pre);
+  RunIncrementPass(adjacency, options, phase2, pre);
 
   pre->stats.num_increments_estimated +=
       static_cast<int>(phase1.size() + phase2.size());
@@ -274,18 +269,20 @@ Precompute PlanningContext::RunPrecompute(
   pre.stats.num_new_edges = pre.universe.num_new_edges();
 
   // Phase 2: Delta(e) for every new edge (Table 4's "Connectivity"
-  // column) — either one stochastic trace estimate per edge, or the
-  // perturbation model (one Lanczos eigenpair run, then O(m) per edge).
-  // Sharded over options.precompute_threads; bit-identical to serial.
+  // column) — one estimate of the base trace, then either the ball
+  // quadrature per edge or the perturbation model (one Lanczos eigenpair
+  // run, then O(m) per edge). Sharded over options.precompute_threads;
+  // bit-identical to serial.
   stopwatch.Reset();
+  const linalg::SymmetricSparseMatrix adjacency = transit.AdjacencyMatrix();
+  pre.base_trace = EstimateBaseTrace(adjacency, options);
   pre.increments.assign(pre.universe.num_edges(), 0.0);
   if (PruningActive(options)) {
     pre.pruned.assign(pre.universe.num_edges(), 0);
-    PruneAndEstimateIncrements(transit, options, pre.universe,
-                               NewEdgeIds(pre.universe), /*filled=*/{}, &pre);
+    PruneAndEstimateIncrements(adjacency, options, NewEdgeIds(pre.universe),
+                               /*filled=*/{}, &pre);
   } else {
-    RunIncrementPass(transit, options, pre.universe, NewEdgeIds(pre.universe),
-                     &pre);
+    RunIncrementPass(adjacency, options, NewEdgeIds(pre.universe), &pre);
   }
   pre.stats.increments_seconds = stopwatch.Seconds();
   return pre;
@@ -310,22 +307,26 @@ Precompute PlanningContext::DerivePrecompute(const graph::RoadNetwork& road,
   pre.stats.num_new_edges = pre.universe.num_new_edges();
 
   stopwatch.Reset();
+  const linalg::SymmetricSparseMatrix adjacency = transit.AdjacencyMatrix();
+  pre.base_trace = EstimateBaseTrace(adjacency, options);
   pre.increments.assign(pre.universe.num_edges(), 0.0);
   if (options.use_perturbation_precompute) {
     // The perturbation model is global (eigenpairs of the new adjacency),
     // so every candidate is re-evaluated — O(m) per edge after one Lanczos
     // run — keeping the derived result bit-identical to RunPrecompute.
-    RunIncrementPass(transit, options, pre.universe, NewEdgeIds(pre.universe),
-                     &pre);
+    RunIncrementPass(adjacency, options, NewEdgeIds(pre.universe), &pre);
   } else {
-    // Stochastic path: recompute Delta(e) only for candidates with an
+    // Quadrature path: recompute Delta(e) only for candidates with an
     // endpoint among the delta's touched stops (their increments see the
-    // added edges at zeroth order); carry the rest over from the donor.
-    // Recomputed values are bit-identical to from-scratch; carried values
-    // differ only by the second-order interaction with the added edges.
+    // added edges at zeroth order); carry the rest over from the donor,
+    // rebased from the donor's base trace to the new one
+    // (connectivity::RebaseIncrement) — a commit moves tr e^A enough that
+    // unrebased values would be off by a common factor. Recomputed values
+    // are bit-identical to from-scratch; carried values differ only by
+    // the interaction of their trace increment with the added edges.
     // With pruning on, carried entries also keep the donor's pruned flag,
     // and the touched set goes through the same screen as a from-scratch
-    // run (carried estimates — not carried bounds — anchor the cutoff).
+    // run (carried values — not carried bounds — anchor the cutoff).
     const bool pruning = PruningActive(options);
     if (pruning) pre.pruned.assign(pre.universe.num_edges(), 0);
     std::vector<char> touched(transit.num_stops(), 0);
@@ -360,7 +361,8 @@ Precompute PlanningContext::DerivePrecompute(const graph::RoadNetwork& road,
       if (it == prev_increment.end()) {
         todo.push_back(e);  // touched, or (defensively) unknown to the donor
       } else {
-        pre.increments[e] = it->second.increment;
+        pre.increments[e] = connectivity::RebaseIncrement(
+            it->second.increment, prev.base_trace, pre.base_trace);
         if (pruning) {
           pre.pruned[e] = it->second.pruned;
           filled[e] = it->second.pruned ? 0 : 1;
@@ -369,10 +371,9 @@ Precompute PlanningContext::DerivePrecompute(const graph::RoadNetwork& road,
       }
     }
     if (pruning) {
-      PruneAndEstimateIncrements(transit, options, pre.universe, todo, filled,
-                                 &pre);
+      PruneAndEstimateIncrements(adjacency, options, todo, filled, &pre);
     } else {
-      RunIncrementPass(transit, options, pre.universe, todo, &pre);
+      RunIncrementPass(adjacency, options, todo, &pre);
     }
     pre.stats.num_increments_carried = carried;
   }

@@ -31,25 +31,27 @@ namespace ctbus::core {
 /// provenance of a warm-started run.
 struct PrecomputeStats {
   double universe_seconds = 0.0;     // shortest-path realization
-  double increments_seconds = 0.0;   // Delta(e) estimation
+  double increments_seconds = 0.0;   // base trace + Delta(e) loop
   int num_new_edges = 0;
   /// True if this precompute was derived from a previous snapshot version
   /// (DerivePrecompute) instead of computed from scratch.
   bool derived = false;
   /// Derivation chain length: 0 for a from-scratch precompute, donor's
-  /// depth + 1 for a derived one. On the stochastic path each hop can add
+  /// depth + 1 for a derived one. On the quadrature path each hop can add
   /// carry error, so the serving layer bounds this
   /// (ServiceOptions::max_warm_start_depth) and prefers depth-0 donors.
   int derivation_depth = 0;
   /// Delta(e) evaluations actually executed in this run. From scratch this
   /// equals num_new_edges; a warm start only evaluates the candidates
-  /// touched by the snapshot delta (stochastic path) or re-applies the
+  /// touched by the snapshot delta (quadrature path) or re-applies the
   /// rebuilt O(m)-per-edge perturbation model (perturbation path).
   int num_increments_recomputed = 0;
-  /// Delta(e) values carried over verbatim from the donor precompute.
+  /// Delta(e) values carried over from the donor precompute: the donor's
+  /// trace increment, re-expressed against this precompute's base trace
+  /// (connectivity::RebaseIncrement) — not the donor's value verbatim.
   int num_increments_carried = 0;
-  /// With CtBusOptions::prune_candidates: candidates actually estimated
-  /// (survivors of the screen, plus the always-estimated keep sets) vs
+  /// With CtBusOptions::prune_candidates: candidates actually computed
+  /// (survivors of the screen, plus the always-computed keep sets) vs
   /// candidates whose stored value is the screen's upper bound instead.
   /// Both 0 when pruning is off.
   int num_increments_estimated = 0;
@@ -77,21 +79,27 @@ struct SnapshotDelta {
 
 /// The expensive, parameter-sweep-invariant part of context construction:
 /// the plannable-edge universe (depends on tau) and the Delta(e)
-/// pre-computation (depends on the precompute estimator). Reusable across
+/// pre-computation (depends on the precompute estimator, through the base
+/// trace). Reusable across
 /// contexts with different k / w / Tn / sn. Immutable once built; the
 /// serving layer shares it across threads via shared_ptr<const Precompute>
 /// without further synchronization.
 struct Precompute {
   EdgeUniverse universe;
+  /// tr e^A of the base network as CtBusOptions::precompute_estimator
+  /// estimates it — the one stochastic number in the table. Every Delta(e)
+  /// is log1p(trace increment / base_trace), so a warm start rebases
+  /// carried values from the donor's base_trace to its own.
+  double base_trace = 0.0;
   std::vector<double> increments;
   /// Per universe edge, 1 if increments[e] holds the candidate screen's
-  /// upper bound instead of an estimate (CtBusOptions::prune_candidates).
-  /// Empty when pruning was off — every stored value is then an estimate
-  /// (or 0 for existing edges).
+  /// upper bound instead of a computed value
+  /// (CtBusOptions::prune_candidates). Empty when pruning was off — every
+  /// stored value is then computed (or 0 for existing edges).
   std::vector<char> pruned;
   PrecomputeStats stats;
 
-  /// True if increments[e] is a pruning bound rather than an estimate.
+  /// True if increments[e] is a pruning bound rather than a computed value.
   bool IsPruned(int e) const {
     return !pruned.empty() && pruned[static_cast<std::size_t>(e)] != 0;
   }
@@ -108,11 +116,13 @@ struct Precompute {
 
 class PlanningContext {
  public:
-  /// Runs only the expensive pre-computation phases. The Delta(e) loop is
+  /// Runs only the expensive pre-computation phases. Delta(e) is the
+  /// candidate's ball quadrature (connectivity::EdgeTraceIncrement) over
+  /// one estimated base trace, or the perturbation model. The loop is
   /// sharded over options.precompute_threads workers (1 = serial, <= 0 =
-  /// hardware concurrency); the shards share one immutable estimator and
-  /// each owns its scratch adjacency, so the result is bit-identical at any
-  /// thread count for both estimator paths. Thread-safe for concurrent
+  /// hardware concurrency); the shards only read the shared adjacency and
+  /// model, so the result is bit-identical at any thread count for both
+  /// paths. Thread-safe for concurrent
   /// callers (shares nothing but its const inputs).
   static Precompute RunPrecompute(const graph::RoadNetwork& road,
                                   const graph::TransitNetwork& transit,
@@ -127,9 +137,10 @@ class PlanningContext {
   ///
   /// The carried-over work: the universe's shortest-path realizations are
   /// reused wholesale (bit-identical to EdgeUniverse::Build on the new
-  /// networks), and on the stochastic path the Delta(e) of candidates not
-  /// touching delta.touched_stops is carried from `prev` (exact for
-  /// recomputed candidates, first-order-accurate for carried ones). On the
+  /// networks), and on the quadrature path the Delta(e) of candidates not
+  /// touching delta.touched_stops is carried from `prev`, rebased to the
+  /// new base trace (bit-identical to from-scratch for recomputed
+  /// candidates, first-order-accurate for carried ones). On the
   /// perturbation path every candidate is re-evaluated against a model
   /// rebuilt on the new adjacency — O(m) per edge — so the result is
   /// bit-identical to RunPrecompute. See docs/PRECOMPUTE.md.

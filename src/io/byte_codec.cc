@@ -15,9 +15,8 @@ std::uint32_t Fnv1a32(const std::uint8_t* data, std::size_t size) {
   return hash;
 }
 
-std::uint64_t Fnv1a64(const std::uint8_t* data, std::size_t size,
-                      std::uint64_t basis) {
-  std::uint64_t hash = basis;
+std::uint64_t Fnv1a64(const std::uint8_t* data, std::size_t size) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
   for (std::size_t i = 0; i < size; ++i) {
     hash ^= data[i];
     hash *= 0x100000001b3ull;

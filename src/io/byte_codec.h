@@ -14,15 +14,10 @@
 
 namespace ctbus::io {
 
-/// The standard FNV-1a-64 offset basis.
-inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ull;
-
-/// FNV-1a hashes (tiny, dependency-free, and good enough to catch
-/// corruption — an integrity check, not crypto). `basis` exists for the
-/// CTBS section checksum only (io::SnapshotChecksum).
+/// FNV-1a hashes with the standard offset bases (tiny, dependency-free,
+/// and good enough to catch corruption — an integrity check, not crypto).
 std::uint32_t Fnv1a32(const std::uint8_t* data, std::size_t size);
-std::uint64_t Fnv1a64(const std::uint8_t* data, std::size_t size,
-                      std::uint64_t basis = kFnv1a64Basis);
+std::uint64_t Fnv1a64(const std::uint8_t* data, std::size_t size);
 
 void AppendU8(std::vector<std::uint8_t>* out, std::uint8_t v);
 void AppendU16(std::vector<std::uint8_t>* out, std::uint16_t v);

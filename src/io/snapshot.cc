@@ -311,6 +311,7 @@ bool DecodeUniverseBody(ByteReader* reader, core::EdgeUniverse* out) {
 void EncodePrecomputeBody(const core::Precompute& precompute,
                           std::vector<std::uint8_t>* out) {
   EncodeUniverseBody(precompute.universe, out);
+  AppendF64(out, precompute.base_trace);
   AppendU32(out, static_cast<std::uint32_t>(precompute.increments.size()));
   for (double inc : precompute.increments) AppendF64(out, inc);
   AppendU8(out, precompute.pruned.empty() ? 0 : 1);
@@ -334,7 +335,10 @@ void EncodePrecomputeBody(const core::Precompute& precompute,
 
 bool DecodePrecomputeBody(ByteReader* reader, core::Precompute* out) {
   core::Precompute precompute;
-  if (!DecodeUniverseBody(reader, &precompute.universe)) return false;
+  if (!DecodeUniverseBody(reader, &precompute.universe) ||
+      !reader->ReadFiniteF64("base_trace", &precompute.base_trace)) {
+    return false;
+  }
   std::uint32_t num_increments = 0;
   if (!reader->ReadCount("num_increments", 8, &num_increments)) return false;
   if (static_cast<int>(num_increments) != precompute.universe.num_edges()) {
@@ -576,7 +580,7 @@ bool DecodeSection(const SectionView& section, graph::TransitNetwork* out,
 // ------------------------------------------------------------- public ----
 
 std::uint64_t SnapshotChecksum(const std::uint8_t* data, std::size_t size) {
-  return Fnv1a64(data, size, 1469598103934665603ULL);
+  return Fnv1a64(data, size);
 }
 
 bool PrecomputeProvenance::operator==(

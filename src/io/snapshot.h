@@ -1,7 +1,7 @@
 // Checksummed binary snapshots: the millisecond cold-start path. A CTBS
 // file carries a whole city — road network, transit network, and
-// optionally the Delta(e) precompute (universe + increments + PR 8 pruned
-// bits) and the aggregated demand ranking — in a versioned, section-tagged,
+// optionally the Delta(e) precompute (universe + base trace + increments +
+// pruned bits) and the aggregated demand ranking — in a versioned, section-tagged,
 // length-prefixed container, so a process restart loads in milliseconds
 // instead of re-parsing TSV text and re-running all-pairs Dijkstras.
 //
@@ -53,14 +53,18 @@ namespace ctbus::io {
 inline constexpr std::uint32_t kSnapshotMagic = 0x53425443u;
 /// Bumped on any layout change; loaders reject every other value (a stale
 /// format is a diagnostic for Load, and a plain miss for the cache spill).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+/// Version 2: the precompute section carries Precompute::base_trace (the
+/// denominator of every quadrature Delta(e)), and section checksums use
+/// the standard FNV-1a-64 basis. A version-1 table holds Hutchinson
+/// Delta(e) values, so it must never be served as a quadrature one.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 /// Hard bound on the section table, checked before it is walked.
 inline constexpr std::uint32_t kMaxSnapshotSections = 16;
 
-/// The per-section checksum: FNV-1a-64 (io::Fnv1a64) with the offset
-/// basis 1469598103934665603, which is the standard basis with its last
-/// digit dropped. Format version 1 and the committed fixtures froze it;
-/// changing it needs a format-version bump.
+/// The per-section checksum: FNV-1a-64 (io::Fnv1a64) with the standard
+/// offset basis 14695981039346656037. Format version 1 used
+/// 1469598103934665603, the standard basis with its last digit dropped;
+/// version 2 fixed it. Changing it again needs a format-version bump.
 std::uint64_t SnapshotChecksum(const std::uint8_t* data, std::size_t size);
 
 /// The CtBusOptions fields a Delta(e) precompute's output depends on —

@@ -167,9 +167,9 @@ struct ServiceOptions {
   /// recomputing from scratch, when the snapshot store can produce the
   /// delta. Disable to force every miss down the from-scratch path (A/B
   /// measurement, paranoia).
-  /// ctbus-lint: key-exempt(derive-vs-scratch produces the same precompute for deterministic estimators; stochastic carry error is bounded by max_warm_start_depth)
+  /// ctbus-lint: key-exempt(derive-vs-scratch produces the same precompute on the perturbation path; the quadrature path's carry error is bounded by max_warm_start_depth)
   bool warm_start_precompute = true;
-  /// Bound on the stochastic path's carry-error compounding: a donor whose
+  /// Bound on the quadrature path's carry-error compounding: a donor whose
   /// derivation chain is already this deep is not derived from again (the
   /// service falls back to an older shallower donor, or from scratch).
   /// From-scratch donors are always preferred when resident, so chains

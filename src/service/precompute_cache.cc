@@ -63,7 +63,7 @@ PrecomputeKey MakePrecomputeKey(const std::string& dataset,
   key.seed = options.precompute_estimator.seed;
   key.probe_kind = static_cast<int>(options.precompute_estimator.probe_kind);
   key.use_perturbation = options.use_perturbation_precompute;
-  // The screen only runs on the stochastic path, and keep_rank is inert
+  // The screen only runs on the quadrature path, and keep_rank is inert
   // when pruning is off — normalize both so equal-output requests share
   // one key (and one request batch).
   key.prune_candidates =

@@ -3,7 +3,10 @@
 // The precompute (plannable-edge universe + Delta(e) increments) is the
 // expensive, sweep-invariant part of answering a planning query: it depends
 // only on (dataset, snapshot version, tau, precompute-estimator params),
-// not on k / w / Tn / sn or the planner. Caching it means a parameter sweep
+// not on k / w / Tn / sn or the planner. Since Delta(e) became a
+// deterministic ball quadrature, the precompute estimator only sets the
+// base-trace estimate every value is divided by (Precompute::base_trace),
+// yet it stays a key field: a different estimate is a different table. Caching it means a parameter sweep
 // of N cells pays for one precompute, and repeated traffic against a hot
 // snapshot pays for none.
 //
@@ -69,7 +72,7 @@ namespace ctbus::service {
 /// including them would only fragment the cache — and the batch grouping —
 /// across requests that provably produce the same precompute and plans.
 /// The pruning knobs (prune_candidates, prune_keep_rank) ARE key fields:
-/// pruned entries store an upper bound instead of an estimate, so the
+/// pruned entries store an upper bound instead of a computed value, so the
 /// table's bytes depend on them (docs/PRECOMPUTE.md). keep_rank is
 /// normalized to 0 when pruning is off, so every non-pruning request maps
 /// to one key regardless of its (inert) keep_rank setting.

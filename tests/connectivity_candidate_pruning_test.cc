@@ -123,9 +123,9 @@ TEST(CandidateScreenTest, PinnedPrunedPrecomputeOnGridFixture) {
   pre.stats.increments_seconds = 0.0;
   std::vector<std::uint8_t> bytes;
   io::EncodePrecompute(pre, &bytes);
-  ASSERT_EQ(bytes.size(), 754u);
+  ASSERT_EQ(bytes.size(), 762u);
   EXPECT_EQ(io::SnapshotChecksum(bytes.data(), bytes.size()),
-            0xe720b85d35bb3519ULL);
+            0xee63f81735da87b4ULL);
 }
 
 TEST(CandidateScreenTest, BoundClampedByUniformCap) {

@@ -115,6 +115,28 @@ TEST_P(EtaParallelTest, HardwareConcurrencySettingIsBitIdenticalToSerial) {
   ExpectResultsIdentical(hw.result, serial.result, /*threads=*/0);
 }
 
+TEST_P(EtaParallelTest, ReportedIncrementIsTheWinnersOnlineEstimate) {
+  // kOnline reports the increment the search already estimated for its
+  // winner instead of estimating it again; it must be the very value a
+  // fresh estimate of the winning path gives, and the objective must be
+  // scored from it.
+  const CtBusOptions options = TestOptions(GetParam());
+  const PlanningContext ctx = PlanningContext::BuildWithPrecompute(
+      dataset_->road, dataset_->transit, options, *precompute_);
+  for (int threads : {1, 2}) {
+    const RunOutcome run = Run(options, threads);
+    ASSERT_TRUE(run.result.found);
+    ASSERT_GT(run.result.path.num_edges(), 1) << "threads=" << threads;
+    EXPECT_EQ(run.result.connectivity_increment,
+              ctx.OnlineConnectivityIncrement(run.result.path.edges()))
+        << "threads=" << threads;
+    EXPECT_EQ(run.result.objective,
+              ctx.Objective(run.result.demand,
+                            run.result.connectivity_increment))
+        << "threads=" << threads;
+  }
+}
+
 TEST_P(EtaParallelTest, PrecomputedModeNeverForks) {
   // ETA-Pre evaluates ranked-list lookups; eta_threads must be inert
   // there (no slots reserved, identical results).

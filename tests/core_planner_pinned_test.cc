@@ -1,5 +1,6 @@
 // Planner pins on the chicago preset at scale 0.5 with the perfbench
-// request parameters (tau 500, Tn 3, sn 5000, default estimators): the
+// request parameters (tau 500, Tn 3, sn 5000, default estimators, the
+// quadrature Delta(e) precompute): the
 // route, iteration count and reported objective / demand / connectivity
 // increment of ETA-Pre and vk-TSP over k in {10, 30} x w in {0.3, 0.7},
 // plus one online ETA capped at four iterations. The doubles are hex-float
@@ -87,18 +88,21 @@ TEST_F(PlannerPinnedTest, UniverseSize) {
 
 TEST_F(PlannerPinnedTest, EtaPre) {
   const std::vector<Pin> pins = {
-      {10, 0.3, {1345, 923, 932, 1806, 1807, 2099, 836, 828, 1131, 1132},
-       3918, 0x1.06188ee3a9cb7p-2, 0x1.92696a2e6fde9p+19,
-       0x1.408dbdf4e337p-5},
-      {10, 0.7, {1346, 162, 163, 1723, 2346, 2353, 387, 294, 764, 767},
-       3979, 0x1.fc33557b7791fp-2, 0x1.46a0d7f9bcbd7p+22,
-       0x1.9d9dc8e4badep-6},
+      {10, 0.3, {1385, 1363, 1355, 910, 913, 1793, 1806, 1670, 1672, 1635},
+       4038, 0x1.33153168c09b9p-1, 0x1.183307610655cp+21,
+       0x1.5147f20cfe4ep-5},
+      {10, 0.7, {594, 597, 272, 2130, 2131, 2318, 2248, 1395, 1393}, 4263,
+       0x1.070f50282066bp-1, 0x1.193281cadaf86p+22, 0x1.a9a3b4b2a8bap-6},
       {30, 0.3,
-       {1345, 923, 932, 1806, 1807, 2099, 836, 828, 1131, 1132, 963}, 3969,
-       0x1.b6031ed41e9dep-4, 0x1.04bc8ca54b083p+20, 0x1.4b2151e77593p-5},
+       {1385, 1363, 1355, 910, 913, 1793, 1806, 1807, 475, 462, 862, 876,
+        879, 1852},
+       4224, 0x1.2e0e346bdb35bp-2, 0x1.2535bf994228ep+21,
+       0x1.caa5712310d1p-5},
       {30, 0.7,
-       {2157, 603, 600, 1745, 2353, 387, 294, 764, 767, 1128, 1127}, 4410,
-       0x1.8df93d7a57206p-3, 0x1.386a44ad038fap+22, 0x1.250c623e5e6fp-5},
+       {1395, 294, 764, 753, 959, 1999, 491, 490, 1836, 1807, 1806, 1793,
+        913, 910, 1355},
+       4525, 0x1.d5986a75186d6p-3, 0x1.2bead48fe6b9bp+22,
+       0x1.37535c2eabe2p-5},
   };
   for (const Pin& pin : pins) {
     const PlanningContext ctx = Context(pin.k, pin.w);
@@ -114,10 +118,10 @@ TEST_F(PlannerPinnedTest, VkTsp) {
   const double demand = 0x1.3fb321fb7a519p+22;
   const double increment = 0x1.ca30b2a0814p-7;
   const std::vector<Pin> pins = {
-      {10, 0.3, route, 3484, 0x1.0d5e7098fed06p-2, demand, increment},
-      {10, 0.7, route, 3484, 0x1.d611d328283bfp-2, demand, increment},
-      {30, 0.3, route, 3863, 0x1.a1446381bf474p-4, demand, increment},
-      {30, 0.7, route, 3863, 0x1.69b6237e22afcp-3, demand, increment},
+      {10, 0.3, route, 3484, 0x1.6f0d8ce3fcb8fp-2, demand, increment},
+      {10, 0.7, route, 3484, 0x1.ffef286cde31ep-2, demand, increment},
+      {30, 0.3, route, 3863, 0x1.1576031c54dabp-3, demand, increment},
+      {30, 0.7, route, 3863, 0x1.87357d379e108p-3, demand, increment},
   };
   for (const Pin& pin : pins) {
     const PlanningContext ctx = Context(pin.k, pin.w);
@@ -130,8 +134,8 @@ TEST_F(PlannerPinnedTest, OnlineEtaCappedAtFourIterations) {
   options.max_iterations = 4;
   const PlanningContext ctx = Context(options);
   ExpectPinned(RunEta(&ctx, SearchMode::kOnline),
-               {30, 0.5, {1393, 1395, 294}, 4, 0x1.084808a250deap-4,
-                0x1.30970d7f48866p+21, 0x1.6c21616cb438p-8});
+               {30, 0.5, {1393, 1390, 1368}, 4, 0x1.c6e6add437c24p-4,
+                0x1.0591505fdc0ecp+21, 0x1.35f2e0feafb6p-6});
 }
 
 TEST_F(PlannerPinnedTest, VkTspSiblingMatchesFreshlyBuiltContext) {

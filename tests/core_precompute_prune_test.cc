@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "connectivity/edge_increment.h"
 #include "core/eta.h"
 #include "core/planner.h"
 #include "core/planning_context.h"
@@ -162,8 +163,8 @@ TEST(PrecomputePruneTest, DeriveCarriesPrunedFlagsAcrossCommit) {
                 derived.stats.num_increments_pruned,
             derived.universe.num_new_edges());
 
-  // Carried candidates (no endpoint touched by the commit) keep both the
-  // donor's value and its pruned flag.
+  // Carried candidates (no endpoint touched by the commit) keep the
+  // donor's pruned flag, and its value rebased to the new base trace.
   std::vector<char> touched(snap2->transit->num_stops(), 0);
   for (int s : delta->touched_stops) touched[s] = 1;
   int carried_pruned = 0;
@@ -175,7 +176,10 @@ TEST(PrecomputePruneTest, DeriveCarriesPrunedFlagsAcrossCommit) {
     for (int p = 0; p < pre1.universe.num_edges(); ++p) {
       const PlannableEdge& donor = pre1.universe.edge(p);
       if (donor.is_new && donor.u == edge.u && donor.v == edge.v) {
-        EXPECT_EQ(derived.increments[e], pre1.increments[p]);
+        EXPECT_EQ(derived.increments[e],
+                  connectivity::RebaseIncrement(pre1.increments[p],
+                                                pre1.base_trace,
+                                                derived.base_trace));
         EXPECT_EQ(derived.IsPruned(e), pre1.IsPruned(p));
         carried_pruned += derived.IsPruned(e) ? 1 : 0;
         break;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -299,6 +300,21 @@ TEST(SnapshotCorruptionTest, BadMagicAndVersion) {
   auto bad_version = bytes;
   bad_version[4] = 0xfe;
   ExpectRejected(std::move(bad_version), "unsupported format version");
+}
+
+TEST(SnapshotCorruptionTest, VersionOneFileFailsLoadWithADiagnostic) {
+  // Version 1 predates the precompute's base trace; a file written by it
+  // is refused by name, never half-read.
+  std::vector<std::uint8_t> bytes = EncodeSnapshot(MakeFullSnapshot());
+  ASSERT_EQ(kSnapshotFormatVersion, 2u);
+  bytes[4] = 1;
+  const std::string path = ::testing::TempDir() + "/version_one.ctbs";
+  ASSERT_TRUE(WriteFileBytes(path, bytes));
+  std::string error;
+  EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
+  EXPECT_NE(error.find("unsupported format version 1"), std::string::npos)
+      << error;
+  std::filesystem::remove(path);
 }
 
 TEST(SnapshotCorruptionTest, FlippedPayloadByteNamesItsSection) {

@@ -11,8 +11,11 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "connectivity/edge_increment.h"
+#include "connectivity/natural_connectivity.h"
 #include "core/options.h"
 #include "core/planning_context.h"
 #include "io/network_io.h"
@@ -184,6 +187,122 @@ TEST(PrecomputeCacheSpillTest, CorruptOrStaleFilesAreMissesNotErrors) {
   EXPECT_EQ(calls, 1) << "corrupt spill file must fall through to compute";
   EXPECT_FALSE(was_hit);
   EXPECT_EQ(cache.stats().spill_loads, 0u);
+}
+
+/// Rewrites a version-2 spill record in the version-1 layout: the PREC
+/// payload without the base trace (8 bytes after the universe, whose
+/// encoding is `universe_bytes` long), section checksums under version
+/// 1's FNV-1a-64 basis (the standard one with its last digit dropped),
+/// and version 1 in the header.
+std::vector<std::uint8_t> ToVersionOneLayout(
+    const std::vector<std::uint8_t>& v2, std::size_t universe_bytes) {
+  const auto read = [&](std::size_t at, int bytes) {
+    std::uint64_t value = 0;
+    for (int i = 0; i < bytes; ++i) {
+      value |= static_cast<std::uint64_t>(v2[at + i]) << (8 * i);
+    }
+    return value;
+  };
+  const auto fnv_v1 = [](const std::vector<std::uint8_t>& payload) {
+    std::uint64_t hash = 1469598103934665603ULL;
+    for (std::uint8_t byte : payload) {
+      hash ^= byte;
+      hash *= 0x100000001b3ULL;
+    }
+    return hash;
+  };
+  std::vector<std::uint8_t> out;
+  const auto put = [&](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+    }
+  };
+  const std::size_t num_sections = read(8, 4);
+  std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> sections;
+  std::size_t offset = 12 + 20 * num_sections;
+  for (std::size_t s = 0; s < num_sections; ++s) {
+    const std::uint32_t tag = static_cast<std::uint32_t>(read(12 + 20 * s, 4));
+    const std::size_t size = read(12 + 20 * s + 4, 8);
+    std::vector<std::uint8_t> payload(v2.begin() + offset,
+                                      v2.begin() + offset + size);
+    offset += size;
+    if (tag == 0x43455250u) {  // "PREC": drop the base trace
+      payload.erase(payload.begin() + universe_bytes,
+                    payload.begin() + universe_bytes + 8);
+    }
+    sections.emplace_back(tag, std::move(payload));
+  }
+  put(read(0, 4), 4);  // magic
+  put(1, 4);
+  put(num_sections, 4);
+  for (const auto& [tag, payload] : sections) {
+    put(tag, 4);
+    put(payload.size(), 8);
+    put(fnv_v1(payload), 8);
+  }
+  for (const auto& section : sections) {
+    out.insert(out.end(), section.second.begin(), section.second.end());
+  }
+  return out;
+}
+
+TEST(PrecomputeCacheSpillTest, VersionOneSpillIsRecomputedNeverServed) {
+  // A spill from before the quadrature Delta(e) holds Hutchinson values
+  // over no base trace. Planted at exactly the path the cache reads, it
+  // must be a plain miss: the table is recomputed, and the answer is the
+  // quadrature table, not the planted one.
+  const std::string dir = FreshSpillDir("spill_version_one");
+  const GridNetworks networks = LoadGrid();
+  const core::CtBusOptions options = GridOptions();
+  const PrecomputeKey key = MakePrecomputeKey("grid", 1, options);
+  const core::Precompute fresh = core::PlanningContext::RunPrecompute(
+      networks.road, networks.transit, options);
+
+  io::PrecomputeCacheEntry stale;
+  stale.dataset = "grid";
+  stale.snapshot_version = 1;
+  stale.network_fingerprint =
+      io::NetworkFingerprint(networks.road, networks.transit);
+  stale.provenance = io::MakeProvenance(options);
+  stale.precompute = fresh;
+  linalg::SymmetricSparseMatrix adjacency =
+      networks.transit.AdjacencyMatrix();
+  const connectivity::ConnectivityEstimator estimator(
+      adjacency.dim(), options.precompute_estimator);
+  const double base_lambda = estimator.Estimate(adjacency);
+  for (int e = 0; e < fresh.universe.num_edges(); ++e) {
+    const core::PlannableEdge& edge = fresh.universe.edge(e);
+    if (!edge.is_new) continue;
+    stale.precompute.increments[e] = connectivity::EdgeIncrement(
+        &adjacency, base_lambda, estimator, edge.u, edge.v);
+  }
+  ASSERT_NE(PrecomputeBytes(stale.precompute), PrecomputeBytes(fresh));
+  std::vector<std::uint8_t> universe_bytes;
+  io::EncodeEdgeUniverse(fresh.universe, &universe_bytes);
+
+  PrecomputeCache cache(/*capacity=*/4, /*max_bytes=*/0, dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(io::WriteFileBytes(
+      cache.SpillPath(key),
+      ToVersionOneLayout(io::EncodePrecomputeCacheEntry(stale),
+                         universe_bytes.size())));
+  std::string error;
+  EXPECT_FALSE(io::LoadPrecomputeCacheEntry(cache.SpillPath(key), &error)
+                   .has_value());
+  EXPECT_NE(error.find("unsupported format version 1"), std::string::npos)
+      << error;
+
+  int calls = 0;
+  bool was_hit = true;
+  const auto value = cache.GetOrCompute(
+      key, ComputeFor(networks, options, &calls), &was_hit);
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(calls, 1) << "a version-1 spill must fall through to compute";
+  EXPECT_FALSE(was_hit);
+  EXPECT_EQ(cache.stats().spill_loads, 0u);
+  core::Precompute served = *value;
+  served.stats = fresh.stats;  // timings differ run to run
+  EXPECT_EQ(PrecomputeBytes(served), PrecomputeBytes(fresh));
 }
 
 TEST(PrecomputeCacheSpillTest, WrongKeyOnDiskIsAMiss) {

@@ -1,16 +1,20 @@
 // Warm-start correctness: a precompute derived across snapshot versions
 // (SnapshotStore lineage + PlanningContext::DerivePrecompute) must match a
 // from-scratch RunPrecompute on the new snapshot — bit-identically for the
-// universe and the perturbation estimator path, within second-order error
-// for carried stochastic Delta(e) (see docs/PRECOMPUTE.md).
+// universe, the perturbation path and recomputed quadrature Delta(e),
+// within second-order error for carried ones, which are exactly the
+// donor's values rebased to the new base trace (see docs/PRECOMPUTE.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "connectivity/edge_increment.h"
 #include "core/eta.h"
 #include "core/planning_context.h"
 #include "gen/datasets.h"
@@ -211,6 +215,55 @@ TEST_P(WarmStartTest, DerivedMatchesFromScratchAfterOneCommit) {
     EXPECT_LT(derived.stats.num_increments_recomputed,
               derived.universe.num_new_edges());
   }
+}
+
+TEST(WarmStartRebaseTest, CarriedValuesAreTheRebasedDonorValues) {
+  // The quadrature path's exact contract: a recomputed candidate matches
+  // from-scratch bit for bit, and a carried one holds exactly the donor's
+  // value rebased from the donor's base trace to the new one.
+  gen::Dataset d = gen::MakeMidtown();
+  SnapshotStore store(std::move(d.road), std::move(d.transit));
+  const core::CtBusOptions options = FastOptions();
+  const SnapshotPtr v1 = store.Get(1);
+  const core::Precompute pre1 =
+      core::PlanningContext::RunPrecompute(*v1->road, *v1->transit, options);
+  const Committed v2 = PlanAndCommit(&store, 1, options, pre1);
+  const core::Precompute scratch = core::PlanningContext::RunPrecompute(
+      *v2.snapshot->road, *v2.snapshot->transit, options);
+  const core::Precompute derived = core::PlanningContext::DerivePrecompute(
+      *v2.snapshot->road, *v2.snapshot->transit, options, pre1,
+      v2.delta_from_parent);
+
+  EXPECT_EQ(derived.base_trace, scratch.base_trace);
+  EXPECT_NE(derived.base_trace, pre1.base_trace);
+  std::map<std::pair<int, int>, double> donor;
+  for (int e = 0; e < pre1.universe.num_edges(); ++e) {
+    const core::PlannableEdge& edge = pre1.universe.edge(e);
+    if (edge.is_new) donor[{edge.u, edge.v}] = pre1.increments[e];
+  }
+  std::vector<char> touched(v2.snapshot->transit->num_stops(), 0);
+  for (int s : v2.delta_from_parent.touched_stops) touched[s] = 1;
+  int carried = 0;
+  int recomputed = 0;
+  for (int e = 0; e < derived.universe.num_edges(); ++e) {
+    const core::PlannableEdge& edge = derived.universe.edge(e);
+    if (!edge.is_new) continue;
+    const auto it = donor.find({edge.u, edge.v});
+    if (touched[edge.u] || touched[edge.v] || it == donor.end()) {
+      EXPECT_EQ(derived.increments[e], scratch.increments[e]) << "edge " << e;
+      ++recomputed;
+    } else {
+      EXPECT_EQ(derived.increments[e],
+                connectivity::RebaseIncrement(it->second, pre1.base_trace,
+                                              derived.base_trace))
+          << "edge " << e;
+      ++carried;
+    }
+  }
+  EXPECT_EQ(carried, derived.stats.num_increments_carried);
+  EXPECT_EQ(recomputed, derived.stats.num_increments_recomputed);
+  EXPECT_GT(carried, 0);
+  EXPECT_GT(recomputed, 0);
 }
 
 TEST_P(WarmStartTest, StackedCommitsDeriveDirectlyAndThroughTheChain) {
