@@ -10,8 +10,6 @@
 //                 through common random numbers (connectivity::
 //                 EdgeIncrement) — the old precompute;
 //   hutch_50x10   the same at the online estimator's 50 x 10;
-//   perturbation  the first-order eigenpair model (60 eigenpairs) —
-//                 CtBusOptions::use_perturbation_precompute;
 //   quadrature    the ball quadrature (connectivity::EdgeTraceIncrement)
 //                 over the 8 x 8 estimate of tr e^A — the precompute;
 //   quadrature_exact_trace  the same over the exact tr e^A, which
@@ -21,8 +19,7 @@
 // Per method: mean absolute error, maximum error, Spearman rank
 // correlation, top-10 / top-30 overlap with the exact ranking, and the
 // cost of a full single-threaded loop over every candidate, extrapolated
-// from the sample's per-edge time (plus the perturbation model's one-off
-// build).
+// from the sample's per-edge time.
 //
 // Scales: chicago 0.5 and 1.0, or the single CTBUS_SCALE when set.
 // CTBUS_ACCURACY_SAMPLES (default 100) sets the sample size per scale.
@@ -43,7 +40,6 @@
 #include "bench/bench_util.h"
 #include "connectivity/edge_increment.h"
 #include "connectivity/natural_connectivity.h"
-#include "connectivity/perturbation.h"
 #include "core/edge_universe.h"
 #include "eval/table.h"
 
@@ -114,9 +110,7 @@ int Overlap(const std::vector<double>& a, const std::vector<double>& b,
 
 struct Method {
   std::string name;
-  /// One-off setup seconds (the perturbation model's build), then the
-  /// value of one candidate.
-  double setup_seconds = 0.0;
+  /// The value of one candidate.
   std::function<double(int u, int v)> increment;
 };
 
@@ -147,7 +141,7 @@ Scored Score(const Method& method,
   s.spearman = Spearman(values, exact);
   s.top10 = Overlap(values, exact, 10);
   s.top30 = Overlap(values, exact, 30);
-  s.full_loop_seconds = method.setup_seconds + per_edge * num_candidates;
+  s.full_loop_seconds = per_edge * num_candidates;
   return s;
 }
 
@@ -199,31 +193,24 @@ bool RunScale(double scale, int samples, ctbus::bench::BenchReport* report,
   const double base_lambda_8x8 = precompute_estimator.Estimate(adjacency);
   const double base_lambda_50x10 = online_estimator.Estimate(adjacency);
 
-  ctbus::bench::Stopwatch build_timer;
-  const auto model = ctbus::connectivity::PerturbationIncrementModel::Build(
-      adjacency, base_trace, {});
-  const double model_seconds = build_timer.Seconds();
-
   const std::vector<Method> methods = {
-      {"hutch_8x8", 0.0,
+      {"hutch_8x8",
        [&](int u, int v) {
          return ctbus::connectivity::EdgeIncrement(
              &adjacency, base_lambda_8x8, precompute_estimator, u, v);
        }},
-      {"hutch_50x10", 0.0,
+      {"hutch_50x10",
        [&](int u, int v) {
          return ctbus::connectivity::EdgeIncrement(
              &adjacency, base_lambda_50x10, online_estimator, u, v);
        }},
-      {"perturbation", model_seconds,
-       [&](int u, int v) { return model.EdgeIncrement(u, v); }},
-      {"quadrature", 0.0,
+      {"quadrature",
        [&](int u, int v) {
          return ctbus::connectivity::IncrementFromTrace(
              ctbus::connectivity::EdgeTraceIncrement(adjacency, u, v),
              base_trace);
        }},
-      {"quadrature_exact_trace", 0.0,
+      {"quadrature_exact_trace",
        [&](int u, int v) {
          return ctbus::connectivity::IncrementFromTrace(
              ctbus::connectivity::EdgeTraceIncrement(adjacency, u, v),

@@ -3,14 +3,13 @@
 // bit-identity checks against the serial run; (2) warm-start derivation
 // across a snapshot commit (DerivePrecompute) versus a from-scratch
 // RunPrecompute, reporting the fraction of candidates recomputed and the
-// agreement with from-scratch for both estimator paths; (3) the Lemma 3/4
-// candidate screen (ISSUE 8) versus the full Delta(e) loop, reporting the
-// pruned fraction and survivor bit-identity.
+// carried values' distance from from-scratch.
 //
-// Acceptance targets (ISSUE 2): >= 2-core Delta(e) speedup > 1 when the
-// host has >= 2 cores, warm-start recompute fraction < 20% after a small
-// commit on the default synthetic dataset, derived == from-scratch
-// (bit-identical on the perturbation path).
+// Targets: >= 2-core Delta(e) speedup > 1 when the host has >= 2 cores,
+// and a warm-start recompute fraction < 20% after a small commit on the
+// default synthetic dataset. Carried values are rebased, not recomputed,
+// so derived == from-scratch holds only for the recomputed candidates
+// (docs/PRECOMPUTE.md).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -50,9 +49,8 @@ double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
 
 void ThreadScalingSection(const ctbus::gen::Dataset& city,
                           ctbus::core::CtBusOptions options,
-                          const char* label,
                           ctbus::bench::BenchReport* report) {
-  std::printf("-- thread scaling (%s path) --\n", label);
+  std::printf("-- thread scaling --\n");
   const int hw = ctbus::core::ResolveThreadCount(0);
   std::vector<int> thread_counts = {1, 2, 4};
   if (std::find(thread_counts.begin(), thread_counts.end(), hw) ==
@@ -82,13 +80,11 @@ void ThreadScalingSection(const ctbus::gen::Dataset& city,
             ? serial_seconds / pre.stats.increments_seconds
             : 0.0,
         Checksum(pre.increments), identical ? "yes" : "NO");
-    const std::string key =
-        std::string(label) + "_delta_seconds_threads_" +
-        std::to_string(threads);
-    report->AddMetric(key, pre.stats.increments_seconds, "lower");
+    report->AddMetric(
+        "quadrature_delta_seconds_threads_" + std::to_string(threads),
+        pre.stats.increments_seconds, "lower");
     if (threads == 1) {
-      report->AddChecksum(std::string(label) + "_increments",
-                          Checksum(pre.increments));
+      report->AddChecksum("quadrature_increments", Checksum(pre.increments));
     }
   }
   if (hw < 2) {
@@ -100,9 +96,9 @@ void ThreadScalingSection(const ctbus::gen::Dataset& city,
 }
 
 void WarmStartSection(ctbus::gen::Dataset city,
-                      ctbus::core::CtBusOptions options, const char* label,
+                      ctbus::core::CtBusOptions options,
                       ctbus::bench::BenchReport* report) {
-  std::printf("-- warm start across a commit (%s path) --\n", label);
+  std::printf("-- warm start across a commit --\n");
   options.precompute_threads = 0;  // hardware concurrency
   ctbus::service::SnapshotStore store(std::move(city.road),
                                       std::move(city.transit));
@@ -167,69 +163,11 @@ void WarmStartSection(ctbus::gen::Dataset city,
               MaxAbsDiff(derived.increments, scratch.increments),
               *std::max_element(scratch.increments.begin(),
                                 scratch.increments.end()));
-  const std::string prefix = std::string(label) + "_warm_start_";
+  const std::string prefix = "quadrature_warm_start_";
   report->AddMetric(prefix + "scratch_seconds", scratch_seconds, "lower");
   report->AddMetric(prefix + "derived_seconds", derived_seconds, "lower");
   report->AddMetric(prefix + "recompute_fraction", recompute_fraction,
                     "lower");
-}
-
-void PruningSection(const ctbus::gen::Dataset& city,
-                    ctbus::core::CtBusOptions options,
-                    ctbus::bench::BenchReport* report) {
-  std::printf("-- candidate pruning (Lemma 3/4 screen, keep_rank=%d) --\n",
-              options.prune_keep_rank);
-  options.precompute_threads = 0;  // hardware concurrency
-
-  options.prune_candidates = false;
-  const Stopwatch off_timer;
-  const ctbus::core::Precompute off =
-      ctbus::core::PlanningContext::RunPrecompute(city.road, city.transit,
-                                                  options);
-  const double off_seconds = off_timer.Seconds();
-
-  options.prune_candidates = true;
-  const Stopwatch on_timer;
-  const ctbus::core::Precompute on =
-      ctbus::core::PlanningContext::RunPrecompute(city.road, city.transit,
-                                                  options);
-  const double on_seconds = on_timer.Seconds();
-
-  const int candidates = on.universe.num_new_edges();
-  const double pruned_fraction =
-      candidates > 0
-          ? static_cast<double>(on.stats.num_increments_pruned) / candidates
-          : 0.0;
-  // Survivors (entries the screen did not prune) must be bit-identical to
-  // the unpruned run; pruned entries hold the screen bound instead.
-  bool survivors_identical = on.increments.size() == off.increments.size();
-  if (survivors_identical) {
-    for (std::size_t e = 0; e < on.increments.size(); ++e) {
-      if (!on.IsPruned(static_cast<int>(e)) &&
-          on.increments[e] != off.increments[e]) {
-        survivors_identical = false;
-        break;
-      }
-    }
-  }
-  std::printf("pruning off: %.3fs (delta(e) %.3fs)  candidates=%d\n",
-              off_seconds, off.stats.increments_seconds, candidates);
-  std::printf("pruning on:  %.3fs (delta(e) %.3fs)  estimated=%d  "
-              "pruned=%d (%.1f%%)  speedup=%.2fx\n",
-              on_seconds, on.stats.increments_seconds,
-              on.stats.num_increments_estimated, on.stats.num_increments_pruned,
-              100.0 * pruned_fraction,
-              on_seconds > 0.0 ? off_seconds / on_seconds : 0.0);
-  std::printf("survivors bit-identical=%s\n\n",
-              survivors_identical ? "yes" : "NO");
-  report->AddMetric("prune_off_delta_seconds", off.stats.increments_seconds,
-                    "lower");
-  report->AddMetric("prune_on_delta_seconds", on.stats.increments_seconds,
-                    "lower");
-  report->AddMetric("pruned_fraction", pruned_fraction, "higher");
-  report->AddMetric("prune_survivors_bit_identical",
-                    survivors_identical ? 1.0 : 0.0, "higher");
-  report->AddChecksum("prune_off_increments", Checksum(off.increments));
 }
 
 }  // namespace
@@ -247,29 +185,11 @@ int main() {
     report.AddDataset(city);
     std::printf("\n");
 
-    ctbus::core::CtBusOptions quadrature = ctbus::bench::BenchOptions();
-    ThreadScalingSection(city, quadrature, "quadrature", &report);
-
-    ctbus::core::CtBusOptions perturbation = ctbus::bench::BenchOptions();
-    perturbation.use_perturbation_precompute = true;
-    ThreadScalingSection(city, perturbation, "perturbation", &report);
+    ThreadScalingSection(city, ctbus::bench::BenchOptions(), &report);
   }
 
-  {
-    ctbus::core::CtBusOptions quadrature = ctbus::bench::BenchOptions();
-    WarmStartSection(ctbus::gen::MakeChicagoLike(scale), quadrature,
-                     "quadrature", &report);
-
-    ctbus::core::CtBusOptions perturbation = ctbus::bench::BenchOptions();
-    perturbation.use_perturbation_precompute = true;
-    WarmStartSection(ctbus::gen::MakeChicagoLike(scale), perturbation,
-                     "perturbation", &report);
-  }
-
-  {
-    const ctbus::gen::Dataset city = ctbus::gen::MakeChicagoLike(scale);
-    PruningSection(city, ctbus::bench::BenchOptions(), &report);
-  }
+  WarmStartSection(ctbus::gen::MakeChicagoLike(scale),
+                   ctbus::bench::BenchOptions(), &report);
   report.WriteIfRequested();
   return 0;
 }

@@ -18,10 +18,10 @@ struct CtBusOptions {
 
   /// Straight-line distance threshold tau between neighbor stops for
   /// candidate new edges, meters (the paper fixes 0.5 km). Together with
-  /// precompute_estimator and use_perturbation_precompute, tau determines
-  /// the precompute output — the serving layer keys its cache AND its
-  /// request batches on exactly these fields (service/precompute_cache.h),
-  /// while k / w / max_turns / seed_count / planner stay sweepable for free.
+  /// precompute_estimator, tau determines the precompute output — the
+  /// serving layer keys its cache AND its request batches on exactly these
+  /// fields (service/precompute_cache.h), while k / w / max_turns /
+  /// seed_count / planner stay sweepable for free.
   double tau = 500.0;
 
   /// Turn threshold Tn: candidates with tn(mu) >= Tn stop expanding.
@@ -71,33 +71,6 @@ struct CtBusOptions {
   /// (service/precompute_cache.h).
   /// ctbus-lint: key-exempt(bit-identical at any thread count — keying would fragment the cache)
   int eta_threads = 1;
-
-  /// Prune the Delta(e) precompute loop with the Lemma 3/4-style
-  /// per-candidate screen (connectivity/candidate_pruning.h): candidates
-  /// whose bounded increment cannot reach the prune_keep_rank-th largest
-  /// computed increment are skipped, and the bound is stored in place of
-  /// the value (flagged in Precompute::pruned). Surviving candidates'
-  /// values are bit-identical to an unpruned run; pruned entries hold a
-  /// (larger) upper bound, so the stored table itself differs — which is
-  /// why this flag and prune_keep_rank ARE part of the precompute cache
-  /// key, unlike the thread knobs. Off by default: the golden-trace gate
-  /// replays byte-exact planner checksums. Quadrature path only (the
-  /// perturbation model is already O(m) per edge). See docs/PRECOMPUTE.md.
-  bool prune_candidates = false;
-
-  /// With prune_candidates: how many top candidates (by screen bound, and
-  /// independently by demand) are always computed, and the rank whose
-  /// computed value forms the pruning cutoff. Larger = safer + slower.
-  /// Deliberately independent of k so the precompute stays sweepable
-  /// across k / w / Tn / sn.
-  int prune_keep_rank = 128;
-
-  /// Use the first-order perturbation model for Delta(e) pre-computation
-  /// instead of the per-edge ball quadrature: one top-eigenpair
-  /// Lanczos run, then O(m) per candidate edge. Implements the paper's
-  /// Section 8 future work; see connectivity/perturbation.h and the
-  /// bench_ablation_precompute comparison.
-  bool use_perturbation_precompute = false;
 
   /// Algorithm 1 variant toggles (Section 4.2.2 / 4.2.3, Figure 11):
   /// false => ETA-AN: enqueue the path extended with *every* neighbor

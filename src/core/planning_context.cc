@@ -4,15 +4,11 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <unordered_map>
 #include <utility>
 
 #include "connectivity/bounds.h"
-#include "connectivity/candidate_pruning.h"
 #include "connectivity/edge_increment.h"
-#include "connectivity/perturbation.h"
 #include "core/parallel_for.h"
 #include "core/timing.h"
 #include "linalg/lanczos.h"
@@ -29,48 +25,6 @@ double EstimateBaseTrace(const linalg::SymmetricSparseMatrix& adjacency,
   return connectivity::ConnectivityEstimator(adjacency.dim(),
                                              options.precompute_estimator)
       .EstimateTraceExp(adjacency);
-}
-
-/// Delta(e) by the ball quadrature (connectivity::EdgeTraceIncrement) over
-/// the base trace, for the universe edges listed in `todo`, sharded over
-/// `num_threads` workers. The kernel only reads the shared adjacency and
-/// each edge's result lands in its own slot, so the table is bit-identical
-/// to a serial run.
-void ComputeQuadratureIncrements(const linalg::SymmetricSparseMatrix& adjacency,
-                                 double base_trace,
-                                 const EdgeUniverse& universe,
-                                 const std::vector<int>& todo,
-                                 int num_threads,
-                                 std::vector<double>* increments) {
-  ParallelFor(static_cast<int>(todo.size()), num_threads,
-              [&](int /*shard*/, int begin, int end) {
-                for (int i = begin; i < end; ++i) {
-                  const PlannableEdge& edge = universe.edge(todo[i]);
-                  (*increments)[todo[i]] = connectivity::IncrementFromTrace(
-                      connectivity::EdgeTraceIncrement(adjacency, edge.u,
-                                                       edge.v),
-                      base_trace);
-                }
-              });
-}
-
-/// Delta(e) via the first-order perturbation model: one Lanczos eigenpair
-/// run on the calling thread, then the O(m)-per-edge evaluations sharded
-/// over `num_threads` workers (the model is immutable, so shards share it).
-void ComputePerturbationIncrements(
-    const linalg::SymmetricSparseMatrix& adjacency, double base_trace,
-    const EdgeUniverse& universe, const std::vector<int>& todo,
-    int num_threads, std::vector<double>* increments) {
-  const auto model = connectivity::PerturbationIncrementModel::Build(
-      adjacency, std::max(base_trace, 1e-12), {});
-  ParallelFor(static_cast<int>(todo.size()), num_threads,
-              [&](int /*shard*/, int begin, int end) {
-                for (int i = begin; i < end; ++i) {
-                  const PlannableEdge& edge = universe.edge(todo[i]);
-                  (*increments)[todo[i]] = std::max(
-                      0.0, model.EdgeIncrement(edge.u, edge.v));
-                }
-              });
 }
 
 /// The add-estimate-restore cycle behind every online increment: stage the
@@ -117,139 +71,30 @@ std::vector<int> NewEdgeIds(const EdgeUniverse& universe) {
   return ids;
 }
 
-/// Runs the configured Delta(e) pass for `todo` against pre->base_trace
-/// and accumulates the stats (the pruning screen runs two passes per
-/// precompute, so the counters add up rather than overwrite).
-void RunIncrementPass(const linalg::SymmetricSparseMatrix& adjacency,
-                      const CtBusOptions& options,
-                      const std::vector<int>& todo, Precompute* pre) {
+/// Delta(e) by the ball quadrature (connectivity::EdgeTraceIncrement) over
+/// pre->base_trace, for the universe edges listed in `todo`, sharded over
+/// options.precompute_threads workers. The kernel only reads the shared
+/// adjacency and each edge's result lands in its own slot, so the table is
+/// bit-identical to a serial run.
+void ComputeIncrements(const linalg::SymmetricSparseMatrix& adjacency,
+                       const CtBusOptions& options,
+                       const std::vector<int>& todo, Precompute* pre) {
   if (todo.empty()) return;
   const int threads =
       std::max(1, std::min(ResolveThreadCount(options.precompute_threads),
                            static_cast<int>(todo.size())));
-  if (options.use_perturbation_precompute) {
-    ComputePerturbationIncrements(adjacency, pre->base_trace, pre->universe,
-                                  todo, threads, &pre->increments);
-  } else {
-    ComputeQuadratureIncrements(adjacency, pre->base_trace, pre->universe,
-                                todo, threads, &pre->increments);
-  }
-  pre->stats.num_increments_recomputed += static_cast<int>(todo.size());
-  pre->stats.threads_used = std::max(pre->stats.threads_used, threads);
-}
-
-/// True when the Lemma 3/4 candidate screen applies: the quadrature path
-/// with CtBusOptions::prune_candidates set (the perturbation model is
-/// already O(m) per candidate — nothing worth skipping).
-bool PruningActive(const CtBusOptions& options) {
-  return options.prune_candidates && !options.use_perturbation_precompute;
-}
-
-/// Screened Delta(e) pass (see docs/PRECOMPUTE.md, "Candidate pruning").
-/// `todo` lists the universe ids to resolve; `filled[e]` marks is_new
-/// edges whose increments[] already hold a final *estimate* (warm-start
-/// carries) and may therefore anchor the cutoff. Two phases:
-///   1. Estimate the top prune_keep_rank candidates by screen bound plus
-///      the top prune_keep_rank by demand (the seeding signal). The
-///      prune_keep_rank-th largest value among these estimates and the
-///      carried ones is the cutoff c.
-///   2. Estimate every remaining candidate whose bound exceeds c; the
-///      rest store their bound with pruned[e] = 1 — a value <= c, so it
-///      cannot displace any top-keep_rank estimate in the ranked lists.
-/// Quadrature values are per-edge independent (each reads only the shared
-/// adjacency), so survivors are bit-identical to an unpruned run.
-void PruneAndEstimateIncrements(const linalg::SymmetricSparseMatrix& adjacency,
-                                const CtBusOptions& options,
-                                const std::vector<int>& todo,
-                                const std::vector<char>& filled,
-                                Precompute* pre) {
-  if (todo.empty()) return;
-  const EdgeUniverse& universe = pre->universe;
-  const int keep = std::max(1, options.prune_keep_rank);
-  const std::size_t count = todo.size();
-
-  // The screen's baseline lambda(G) comes from the same base trace the
-  // quadrature values are normalized by: bounds and values must be
-  // measured against one base for the cutoff comparison to be meaningful.
-  const double base_lambda = connectivity::NaturalConnectivityFromTrace(
-      pre->base_trace, adjacency.dim());
-  const connectivity::CandidateScreen screen =
-      connectivity::CandidateScreen::Build(
-          adjacency, base_lambda, options.precompute_estimator.lanczos_steps,
-          options.precompute_estimator.seed ^ 0xc2b2ae3d27d4eb4fULL);
-
-  std::vector<double> bounds(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const PlannableEdge& edge = universe.edge(todo[i]);
-    bounds[i] = screen.EdgeBound(edge.u, edge.v);
-  }
-
-  // Phase 1 selection: indices into `todo`, deterministic order (value
-  // descending, universe id ascending on ties).
-  std::vector<int> by_bound(count);
-  std::vector<int> by_demand(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    by_bound[i] = static_cast<int>(i);
-    by_demand[i] = static_cast<int>(i);
-  }
-  std::sort(by_bound.begin(), by_bound.end(), [&](int a, int b) {
-    if (bounds[a] != bounds[b]) return bounds[a] > bounds[b];
-    return todo[a] < todo[b];
-  });
-  std::sort(by_demand.begin(), by_demand.end(), [&](int a, int b) {
-    const double da = universe.edge(todo[a]).demand;
-    const double db = universe.edge(todo[b]).demand;
-    if (da != db) return da > db;
-    return todo[a] < todo[b];
-  });
-  std::vector<char> in_phase1(count, 0);
-  for (std::size_t r = 0; r < count && r < static_cast<std::size_t>(keep);
-       ++r) {
-    in_phase1[by_bound[r]] = 1;
-    in_phase1[by_demand[r]] = 1;
-  }
-  std::vector<int> phase1;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (in_phase1[i]) phase1.push_back(todo[i]);
-  }
-  RunIncrementPass(adjacency, options, phase1, pre);
-
-  // Cutoff: the keep-th largest known-final estimate (phase-1 results
-  // plus warm-start carries). With fewer than `keep` estimates in hand,
-  // nothing can be ruled out and everything is estimated.
-  std::vector<double> known;
-  known.reserve(phase1.size());
-  for (int e : phase1) known.push_back(pre->increments[e]);
-  if (!filled.empty()) {
-    for (int e = 0; e < universe.num_edges(); ++e) {
-      if (filled[e]) known.push_back(pre->increments[e]);
-    }
-  }
-  double cutoff = -std::numeric_limits<double>::infinity();
-  if (static_cast<int>(known.size()) >= keep) {
-    std::nth_element(known.begin(), known.begin() + (keep - 1), known.end(),
-                     std::greater<double>());
-    cutoff = known[keep - 1];
-  }
-
-  // Phase 2: survivors vs pruned.
-  std::vector<int> phase2;
-  int num_pruned = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (in_phase1[i]) continue;
-    if (bounds[i] > cutoff) {
-      phase2.push_back(todo[i]);
-    } else {
-      pre->increments[todo[i]] = bounds[i];
-      pre->pruned[todo[i]] = 1;
-      ++num_pruned;
-    }
-  }
-  RunIncrementPass(adjacency, options, phase2, pre);
-
-  pre->stats.num_increments_estimated +=
-      static_cast<int>(phase1.size() + phase2.size());
-  pre->stats.num_increments_pruned += num_pruned;
+  ParallelFor(static_cast<int>(todo.size()), threads,
+              [&](int /*shard*/, int begin, int end) {
+                for (int i = begin; i < end; ++i) {
+                  const PlannableEdge& edge = pre->universe.edge(todo[i]);
+                  pre->increments[todo[i]] = connectivity::IncrementFromTrace(
+                      connectivity::EdgeTraceIncrement(adjacency, edge.u,
+                                                       edge.v),
+                      pre->base_trace);
+                }
+              });
+  pre->stats.num_increments_recomputed = static_cast<int>(todo.size());
+  pre->stats.threads_used = threads;
 }
 
 }  // namespace
@@ -269,21 +114,13 @@ Precompute PlanningContext::RunPrecompute(
   pre.stats.num_new_edges = pre.universe.num_new_edges();
 
   // Phase 2: Delta(e) for every new edge (Table 4's "Connectivity"
-  // column) — one estimate of the base trace, then either the ball
-  // quadrature per edge or the perturbation model (one Lanczos eigenpair
-  // run, then O(m) per edge). Sharded over options.precompute_threads;
-  // bit-identical to serial.
+  // column) — one estimate of the base trace, then the ball quadrature per
+  // edge. Sharded over options.precompute_threads; bit-identical to serial.
   stopwatch.Reset();
   const linalg::SymmetricSparseMatrix adjacency = transit.AdjacencyMatrix();
   pre.base_trace = EstimateBaseTrace(adjacency, options);
   pre.increments.assign(pre.universe.num_edges(), 0.0);
-  if (PruningActive(options)) {
-    pre.pruned.assign(pre.universe.num_edges(), 0);
-    PruneAndEstimateIncrements(adjacency, options, NewEdgeIds(pre.universe),
-                               /*filled=*/{}, &pre);
-  } else {
-    RunIncrementPass(adjacency, options, NewEdgeIds(pre.universe), &pre);
-  }
+  ComputeIncrements(adjacency, options, NewEdgeIds(pre.universe), &pre);
   pre.stats.increments_seconds = stopwatch.Seconds();
   return pre;
 }
@@ -310,73 +147,45 @@ Precompute PlanningContext::DerivePrecompute(const graph::RoadNetwork& road,
   const linalg::SymmetricSparseMatrix adjacency = transit.AdjacencyMatrix();
   pre.base_trace = EstimateBaseTrace(adjacency, options);
   pre.increments.assign(pre.universe.num_edges(), 0.0);
-  if (options.use_perturbation_precompute) {
-    // The perturbation model is global (eigenpairs of the new adjacency),
-    // so every candidate is re-evaluated — O(m) per edge after one Lanczos
-    // run — keeping the derived result bit-identical to RunPrecompute.
-    RunIncrementPass(adjacency, options, NewEdgeIds(pre.universe), &pre);
-  } else {
-    // Quadrature path: recompute Delta(e) only for candidates with an
-    // endpoint among the delta's touched stops (their increments see the
-    // added edges at zeroth order); carry the rest over from the donor,
-    // rebased from the donor's base trace to the new one
-    // (connectivity::RebaseIncrement) — a commit moves tr e^A enough that
-    // unrebased values would be off by a common factor. Recomputed values
-    // are bit-identical to from-scratch; carried values differ only by
-    // the interaction of their trace increment with the added edges.
-    // With pruning on, carried entries also keep the donor's pruned flag,
-    // and the touched set goes through the same screen as a from-scratch
-    // run (carried values — not carried bounds — anchor the cutoff).
-    const bool pruning = PruningActive(options);
-    if (pruning) pre.pruned.assign(pre.universe.num_edges(), 0);
-    std::vector<char> touched(transit.num_stops(), 0);
-    for (int s : delta.touched_stops) touched[s] = 1;
-    struct Carried {
-      double increment = 0.0;
-      char pruned = 0;
-    };
-    std::unordered_map<std::uint64_t, Carried> prev_increment;
-    prev_increment.reserve(prev.universe.num_new_edges());
-    const auto pair_key = [](int u, int v) {
-      return (static_cast<std::uint64_t>(u) << 32) |
-             static_cast<std::uint32_t>(v);
-    };
-    for (int e = 0; e < prev.universe.num_edges(); ++e) {
-      const PlannableEdge& edge = prev.universe.edge(e);
-      if (!edge.is_new) continue;
-      prev_increment.emplace(
-          pair_key(edge.u, edge.v),
-          Carried{prev.increments[e],
-                  static_cast<char>(prev.IsPruned(e) ? 1 : 0)});
-    }
-    std::vector<int> todo;
-    std::vector<char> filled(pruning ? pre.universe.num_edges() : 0, 0);
-    int carried = 0;
-    for (int e = 0; e < pre.universe.num_edges(); ++e) {
-      const PlannableEdge& edge = pre.universe.edge(e);
-      if (!edge.is_new) continue;
-      const auto it = touched[edge.u] || touched[edge.v]
-                          ? prev_increment.end()
-                          : prev_increment.find(pair_key(edge.u, edge.v));
-      if (it == prev_increment.end()) {
-        todo.push_back(e);  // touched, or (defensively) unknown to the donor
-      } else {
-        pre.increments[e] = connectivity::RebaseIncrement(
-            it->second.increment, prev.base_trace, pre.base_trace);
-        if (pruning) {
-          pre.pruned[e] = it->second.pruned;
-          filled[e] = it->second.pruned ? 0 : 1;
-        }
-        ++carried;
-      }
-    }
-    if (pruning) {
-      PruneAndEstimateIncrements(adjacency, options, todo, filled, &pre);
-    } else {
-      RunIncrementPass(adjacency, options, todo, &pre);
-    }
-    pre.stats.num_increments_carried = carried;
+  // Recompute Delta(e) only for candidates with an endpoint among the
+  // delta's touched stops (their increments see the added edges at zeroth
+  // order); carry the rest over from the donor, rebased from the donor's
+  // base trace to the new one (connectivity::RebaseIncrement) — a commit
+  // moves tr e^A enough that unrebased values would be off by a common
+  // factor. Recomputed values are bit-identical to from-scratch; carried
+  // values differ only by the interaction of their trace increment with the
+  // added edges.
+  std::vector<char> touched(transit.num_stops(), 0);
+  for (int s : delta.touched_stops) touched[s] = 1;
+  std::unordered_map<std::uint64_t, double> prev_increment;
+  prev_increment.reserve(prev.universe.num_new_edges());
+  const auto pair_key = [](int u, int v) {
+    return (static_cast<std::uint64_t>(u) << 32) |
+           static_cast<std::uint32_t>(v);
+  };
+  for (int e = 0; e < prev.universe.num_edges(); ++e) {
+    const PlannableEdge& edge = prev.universe.edge(e);
+    if (!edge.is_new) continue;
+    prev_increment.emplace(pair_key(edge.u, edge.v), prev.increments[e]);
   }
+  std::vector<int> todo;
+  int carried = 0;
+  for (int e = 0; e < pre.universe.num_edges(); ++e) {
+    const PlannableEdge& edge = pre.universe.edge(e);
+    if (!edge.is_new) continue;
+    const auto it = touched[edge.u] || touched[edge.v]
+                        ? prev_increment.end()
+                        : prev_increment.find(pair_key(edge.u, edge.v));
+    if (it == prev_increment.end()) {
+      todo.push_back(e);  // touched, or (defensively) unknown to the donor
+    } else {
+      pre.increments[e] = connectivity::RebaseIncrement(
+          it->second, prev.base_trace, pre.base_trace);
+      ++carried;
+    }
+  }
+  ComputeIncrements(adjacency, options, todo, &pre);
+  pre.stats.num_increments_carried = carried;
   pre.stats.increments_seconds = stopwatch.Seconds();
   return pre;
 }

@@ -37,25 +37,18 @@ struct PrecomputeStats {
   /// (DerivePrecompute) instead of computed from scratch.
   bool derived = false;
   /// Derivation chain length: 0 for a from-scratch precompute, donor's
-  /// depth + 1 for a derived one. On the quadrature path each hop can add
-  /// carry error, so the serving layer bounds this
-  /// (ServiceOptions::max_warm_start_depth) and prefers depth-0 donors.
+  /// depth + 1 for a derived one. Each hop can add carry error, so the
+  /// serving layer bounds this (ServiceOptions::max_warm_start_depth) and
+  /// prefers depth-0 donors.
   int derivation_depth = 0;
   /// Delta(e) evaluations actually executed in this run. From scratch this
   /// equals num_new_edges; a warm start only evaluates the candidates
-  /// touched by the snapshot delta (quadrature path) or re-applies the
-  /// rebuilt O(m)-per-edge perturbation model (perturbation path).
+  /// touched by the snapshot delta.
   int num_increments_recomputed = 0;
   /// Delta(e) values carried over from the donor precompute: the donor's
   /// trace increment, re-expressed against this precompute's base trace
   /// (connectivity::RebaseIncrement) — not the donor's value verbatim.
   int num_increments_carried = 0;
-  /// With CtBusOptions::prune_candidates: candidates actually computed
-  /// (survivors of the screen, plus the always-computed keep sets) vs
-  /// candidates whose stored value is the screen's upper bound instead.
-  /// Both 0 when pruning is off.
-  int num_increments_estimated = 0;
-  int num_increments_pruned = 0;
   /// Shards actually used for the Delta(e) loop (after clamping
   /// CtBusOptions::precompute_threads to the amount of work).
   int threads_used = 1;
@@ -92,25 +85,14 @@ struct Precompute {
   /// carried values from the donor's base_trace to its own.
   double base_trace = 0.0;
   std::vector<double> increments;
-  /// Per universe edge, 1 if increments[e] holds the candidate screen's
-  /// upper bound instead of a computed value
-  /// (CtBusOptions::prune_candidates). Empty when pruning was off — every
-  /// stored value is then computed (or 0 for existing edges).
-  std::vector<char> pruned;
   PrecomputeStats stats;
-
-  /// True if increments[e] is a pruning bound rather than a computed value.
-  bool IsPruned(int e) const {
-    return !pruned.empty() && pruned[static_cast<std::size_t>(e)] != 0;
-  }
 
   /// Approximate resident footprint in bytes (universe + Delta(e) table).
   /// This is the unit the serving layer's byte-budgeted PrecomputeCache
   /// charges per entry. Deterministic; O(universe edges).
   std::size_t ApproxBytes() const {
     return sizeof(Precompute) - sizeof(EdgeUniverse) +
-           universe.ApproxBytes() + increments.size() * sizeof(double) +
-           pruned.size() * sizeof(char);
+           universe.ApproxBytes() + increments.size() * sizeof(double);
   }
 };
 
@@ -118,12 +100,11 @@ class PlanningContext {
  public:
   /// Runs only the expensive pre-computation phases. Delta(e) is the
   /// candidate's ball quadrature (connectivity::EdgeTraceIncrement) over
-  /// one estimated base trace, or the perturbation model. The loop is
-  /// sharded over options.precompute_threads workers (1 = serial, <= 0 =
-  /// hardware concurrency); the shards only read the shared adjacency and
-  /// model, so the result is bit-identical at any thread count for both
-  /// paths. Thread-safe for concurrent
-  /// callers (shares nothing but its const inputs).
+  /// one estimated base trace. The loop is sharded over
+  /// options.precompute_threads workers (1 = serial, <= 0 = hardware
+  /// concurrency); the shards only read the shared adjacency, so the
+  /// result is bit-identical at any thread count. Thread-safe for
+  /// concurrent callers (shares nothing but its const inputs).
   static Precompute RunPrecompute(const graph::RoadNetwork& road,
                                   const graph::TransitNetwork& transit,
                                   const CtBusOptions& options);
@@ -137,13 +118,10 @@ class PlanningContext {
   ///
   /// The carried-over work: the universe's shortest-path realizations are
   /// reused wholesale (bit-identical to EdgeUniverse::Build on the new
-  /// networks), and on the quadrature path the Delta(e) of candidates not
-  /// touching delta.touched_stops is carried from `prev`, rebased to the
-  /// new base trace (bit-identical to from-scratch for recomputed
-  /// candidates, first-order-accurate for carried ones). On the
-  /// perturbation path every candidate is re-evaluated against a model
-  /// rebuilt on the new adjacency — O(m) per edge — so the result is
-  /// bit-identical to RunPrecompute. See docs/PRECOMPUTE.md.
+  /// networks), and the Delta(e) of candidates not touching
+  /// delta.touched_stops is carried from `prev`, rebased to the new base
+  /// trace (bit-identical to from-scratch for recomputed candidates,
+  /// first-order-accurate for carried ones). See docs/PRECOMPUTE.md.
   static Precompute DerivePrecompute(const graph::RoadNetwork& road,
                                      const graph::TransitNetwork& transit,
                                      const CtBusOptions& options,

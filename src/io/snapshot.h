@@ -1,7 +1,7 @@
 // Checksummed binary snapshots: the millisecond cold-start path. A CTBS
 // file carries a whole city — road network, transit network, and
-// optionally the Delta(e) precompute (universe + base trace + increments +
-// pruned bits) and the aggregated demand ranking — in a versioned, section-tagged,
+// optionally the Delta(e) precompute (universe + base trace + increments)
+// and the aggregated demand ranking — in a versioned, section-tagged,
 // length-prefixed container, so a process restart loads in milliseconds
 // instead of re-parsing TSV text and re-running all-pairs Dijkstras.
 //
@@ -57,6 +57,13 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x53425443u;
 /// denominator of every quadrature Delta(e)), and section checksums use
 /// the standard FNV-1a-64 basis. A version-1 table holds Hutchinson
 /// Delta(e) values, so it must never be served as a quadrature one.
+/// Reserved fields: the PREC `has_pruned` byte and `stats_estimated` /
+/// `stats_pruned` i32s, and the provenance `use_perturbation` /
+/// `prune_candidates` bytes and `prune_keep_rank` i32, held the state of
+/// the deleted candidate screen and perturbation model. They keep their
+/// byte positions, are written as 0, and a decoder rejects any other
+/// value with a diagnostic naming the field. Snapshots and spill files
+/// written with those features off therefore decode as before.
 inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 /// Hard bound on the section table, checked before it is walked.
 inline constexpr std::uint32_t kMaxSnapshotSections = 16;
@@ -77,15 +84,12 @@ struct PrecomputeProvenance {
   int lanczos_steps = 0;
   std::uint64_t seed = 0;
   int probe_kind = 0;
-  bool use_perturbation = false;
-  bool prune_candidates = false;
-  int prune_keep_rank = 0;
 
   bool operator==(const PrecomputeProvenance& other) const;
 };
 
 /// Extracts the provenance of `options`, with the same normalization as
-/// service::MakePrecomputeKey (signed-zero tau, inert keep_rank -> 0).
+/// service::MakePrecomputeKey (signed-zero tau).
 PrecomputeProvenance MakeProvenance(const core::CtBusOptions& options);
 
 /// One city snapshot: networks always, precompute + demand optionally.

@@ -158,7 +158,7 @@ LanczosResult LanczosTridiagonalize(const MatVec& a,
   const int n = a.dim();
   assert(static_cast<int>(v0.size()) == n);
   assert(options.steps >= 1);
-  const bool keep_basis = options.keep_basis || options.full_reorthogonalize;
+  const bool keep_basis = options.full_reorthogonalize;
 
   LanczosResult result;
   std::vector<double> v = v0;
@@ -207,37 +207,6 @@ LanczosResult LanczosTridiagonalize(const MatVec& a,
   return result;
 }
 
-std::vector<double> LanczosExpApply(const MatVec& a,
-                                    const std::vector<double>& v, int steps) {
-  const int n = a.dim();
-  const double v_norm = Norm2(v);
-  std::vector<double> s(n, 0.0);
-  if (v_norm == 0.0) return s;
-
-  LanczosOptions options;
-  options.steps = steps;
-  options.keep_basis = true;
-  const LanczosResult lanczos = LanczosTridiagonalize(a, v, options);
-  const int t = static_cast<int>(lanczos.alpha.size());
-
-  const SymmetricEigenResult tri =
-      TridiagonalEigen(lanczos.alpha, lanczos.beta, /*compute_vectors=*/true);
-  // exp(T) e1 = Z exp(diag(theta)) Z^T e1; coefficient of basis vector i is
-  // sum_j exp(theta_j) * Z[0][j] * Z[i][j].
-  std::vector<double> coeffs(t, 0.0);
-  for (int j = 0; j < t; ++j) {
-    const double weight =
-        std::exp(tri.eigenvalues[j]) * tri.eigenvectors.At(0, j);
-    for (int i = 0; i < t; ++i) {
-      coeffs[i] += weight * tri.eigenvectors.At(i, j);
-    }
-  }
-  for (int i = 0; i < t; ++i) {
-    Axpy(v_norm * coeffs[i], lanczos.basis[i], &s);
-  }
-  return s;
-}
-
 void LanczosExpQuadratureLanes(const MatVec& a,
                                const std::vector<double>* probes, int lanes,
                                int steps, double* out) {
@@ -283,55 +252,6 @@ std::vector<double> TopEigenvalues(const MatVec& a, int k, int iters,
     top.push_back(tri.eigenvalues[std::max(idx, 0)]);
   }
   return top;
-}
-
-TopEigenpairsResult TopEigenpairs(const MatVec& a, int k, int iters,
-                                  Rng* rng) {
-  const int n = a.dim();
-  TopEigenpairsResult result;
-  assert(k >= 0);
-  if (k == 0 || n == 0) return result;
-  k = std::min(k, n);
-  iters = std::min(std::max(iters, k), n);
-
-  std::vector<double> v0(n);
-  FillGaussian(rng, &v0);
-  LanczosOptions options;
-  options.steps = iters;
-  options.full_reorthogonalize = true;
-  const LanczosResult lanczos = LanczosTridiagonalize(a, v0, options);
-  const SymmetricEigenResult tri =
-      TridiagonalEigen(lanczos.alpha, lanczos.beta, /*compute_vectors=*/true);
-  const int t = static_cast<int>(tri.eigenvalues.size());
-  const int available = std::min(k, t);
-  for (int i = 0; i < available; ++i) {
-    const int idx = t - 1 - i;  // ascending -> take from the top
-    result.eigenvalues.push_back(tri.eigenvalues[idx]);
-    // Ritz vector: z = V * y.
-    std::vector<double> ritz(n, 0.0);
-    for (int row = 0; row < t; ++row) {
-      Axpy(tri.eigenvectors.At(row, idx), lanczos.basis[row], &ritz);
-    }
-    Normalize(&ritz);
-    result.eigenvectors.push_back(std::move(ritz));
-  }
-  return result;
-}
-
-double SpectralNormEstimate(const MatVec& a, int iters, Rng* rng) {
-  const int n = a.dim();
-  if (n == 0) return 0.0;
-  std::vector<double> v0(n);
-  FillGaussian(rng, &v0);
-  LanczosOptions options;
-  options.steps = std::min(iters, n);
-  options.full_reorthogonalize = true;
-  const LanczosResult lanczos = LanczosTridiagonalize(a, v0, options);
-  const SymmetricEigenResult tri =
-      TridiagonalEigen(lanczos.alpha, lanczos.beta, /*compute_vectors=*/false);
-  if (tri.eigenvalues.empty()) return 0.0;
-  return std::max(std::abs(tri.eigenvalues.front()),
-                  std::abs(tri.eigenvalues.back()));
 }
 
 }  // namespace ctbus::linalg

@@ -16,24 +16,6 @@ using io::AppendU8;
 
 // ----------------------------------------------- options (de)coding ----
 
-std::uint8_t PackFlags(const core::CtBusOptions& options) {
-  std::uint8_t flags = 0;
-  if (options.use_perturbation_precompute) flags |= 1u << 0;
-  if (options.best_neighbor_only) flags |= 1u << 1;
-  if (options.use_domination_table) flags |= 1u << 2;
-  if (options.seed_all_edges) flags |= 1u << 3;
-  if (options.new_edges_only) flags |= 1u << 4;
-  return flags;
-}
-
-void UnpackFlags(std::uint8_t flags, core::CtBusOptions* options) {
-  options->use_perturbation_precompute = (flags & (1u << 0)) != 0;
-  options->best_neighbor_only = (flags & (1u << 1)) != 0;
-  options->use_domination_table = (flags & (1u << 2)) != 0;
-  options->seed_all_edges = (flags & (1u << 3)) != 0;
-  options->new_edges_only = (flags & (1u << 4)) != 0;
-}
-
 void AppendEstimator(std::vector<std::uint8_t>* out,
                      const connectivity::EstimatorOptions& estimator) {
   AppendI32(out, estimator.probes);
@@ -87,7 +69,7 @@ void AppendRequestPayload(std::vector<std::uint8_t>* out,
   AppendI32(out, options.max_iterations);
   AppendEstimator(out, options.online_estimator);
   AppendEstimator(out, options.precompute_estimator);
-  AppendU8(out, PackFlags(options));
+  AppendU8(out, PackOptionFlags(options));
 }
 
 void AppendDeterministicResponse(std::vector<std::uint8_t>* out,
@@ -118,6 +100,24 @@ std::vector<std::uint8_t> WrapFrame(FrameType type,
 }
 
 }  // namespace
+
+std::uint8_t PackOptionFlags(const core::CtBusOptions& options) {
+  std::uint8_t flags = 0;
+  if (options.best_neighbor_only) flags |= 1u << 1;
+  if (options.use_domination_table) flags |= 1u << 2;
+  if (options.seed_all_edges) flags |= 1u << 3;
+  if (options.new_edges_only) flags |= 1u << 4;
+  return flags;
+}
+
+bool UnpackOptionFlags(std::uint8_t flags, core::CtBusOptions* options) {
+  if ((flags & kReservedOptionFlags) != 0) return false;
+  options->best_neighbor_only = (flags & (1u << 1)) != 0;
+  options->use_domination_table = (flags & (1u << 2)) != 0;
+  options->seed_all_edges = (flags & (1u << 3)) != 0;
+  options->new_edges_only = (flags & (1u << 4)) != 0;
+  return true;
+}
 
 const char* ResponseStatusName(ResponseStatus status) {
   switch (status) {
@@ -246,6 +246,8 @@ bool DecodeRequestPayload(const std::uint8_t* data, std::size_t size,
       ok = reader.Fail("seed_count", "negative");
     } else if (options.max_iterations < 1) {
       ok = reader.Fail("max_iterations", "non-positive");
+    } else if (!UnpackOptionFlags(flags, &options)) {
+      ok = reader.Fail("flags", "reserved bit set");
     }
   }
   if (!ok) {
@@ -254,7 +256,6 @@ bool DecodeRequestPayload(const std::uint8_t* data, std::size_t size,
   }
   plan.priority = static_cast<service::Priority>(priority);
   plan.planner = static_cast<core::Planner>(planner);
-  UnpackFlags(flags, &options);
   return true;
 }
 

@@ -126,6 +126,21 @@ struct ResponseFrame {
   std::uint32_t batch_size = 1;
 };
 
+/// Bits of the request's one-byte `flags` field, shared by the request
+/// payload and the trace file's `flags` column: bit 1 best_neighbor_only,
+/// bit 2 use_domination_table, bit 3 seed_all_edges, bit 4 new_edges_only.
+/// Bit 0 (once the deleted perturbation precompute) and bits 5-7 are
+/// reserved: always written as 0, rejected by every decoder.
+inline constexpr std::uint8_t kReservedOptionFlags = 0xe1;
+
+/// The planner-variant toggles of `options` as the `flags` byte.
+std::uint8_t PackOptionFlags(const core::CtBusOptions& options);
+
+/// Sets the four toggles of `options` from `flags`. Returns false, with
+/// `options` untouched, if a reserved bit is set; the caller names
+/// `flags` in its diagnostic.
+bool UnpackOptionFlags(std::uint8_t flags, core::CtBusOptions* options);
+
 /// FNV-1a 64 over the canonical encoding of the deterministic section
 /// (status through message; request_id and the timing tail excluded).
 /// This is the value recorded in trace files and compared on replay.

@@ -45,24 +45,6 @@ std::string DoubleToken(double value) {
   return out.str();
 }
 
-std::uint8_t PackTraceFlags(const core::CtBusOptions& options) {
-  std::uint8_t flags = 0;
-  if (options.use_perturbation_precompute) flags |= 1u << 0;
-  if (options.best_neighbor_only) flags |= 1u << 1;
-  if (options.use_domination_table) flags |= 1u << 2;
-  if (options.seed_all_edges) flags |= 1u << 3;
-  if (options.new_edges_only) flags |= 1u << 4;
-  return flags;
-}
-
-void UnpackTraceFlags(std::uint8_t flags, core::CtBusOptions* options) {
-  options->use_perturbation_precompute = (flags & (1u << 0)) != 0;
-  options->best_neighbor_only = (flags & (1u << 1)) != 0;
-  options->use_domination_table = (flags & (1u << 2)) != 0;
-  options->seed_all_edges = (flags & (1u << 3)) != 0;
-  options->new_edges_only = (flags & (1u << 4)) != 0;
-}
-
 /// Strict token cursor over one record line: every Take* consumes one
 /// whitespace-separated token and validates it whole (io::Parse*), with
 /// the field name in the diagnostic.
@@ -190,7 +172,7 @@ bool WriteTraceFile(const std::string& path, const TraceFile& trace,
         << options.max_iterations;
     WriteEstimatorTokens(out, options.online_estimator);
     WriteEstimatorTokens(out, options.precompute_estimator);
-    out << ' ' << static_cast<int>(PackTraceFlags(options)) << ' '
+    out << ' ' << static_cast<int>(PackOptionFlags(options)) << ' '
         << static_cast<int>(record.status) << ' '
         << HexU64(record.response_checksum) << '\n';
   }
@@ -316,6 +298,10 @@ bool ReadTraceFile(const std::string& path, TraceFile* trace,
          options.w > 1.0 || options.tau < 0.0)) {
       record_ok = t.Fail("record", "field value out of range");
     }
+    if (record_ok &&
+        !UnpackOptionFlags(static_cast<std::uint8_t>(flags), &options)) {
+      record_ok = t.Fail("flags", "reserved bit set");
+    }
     if (!record_ok) {
       if (error != nullptr) {
         *error = io::LineError(path, line_number, t.error());
@@ -326,7 +312,6 @@ bool ReadTraceFile(const std::string& path, TraceFile* trace,
     record.request.priority = static_cast<service::Priority>(priority);
     record.request.planner = static_cast<core::Planner>(planner);
     record.status = static_cast<ResponseStatus>(status);
-    UnpackTraceFlags(static_cast<std::uint8_t>(flags), &options);
     trace->records.push_back(std::move(record));
   }
   if (declared_records >= 0 &&

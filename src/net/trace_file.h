@@ -16,6 +16,8 @@
 //     <probes> <lanczos> <seed> <kind>          (precompute estimator)
 //     <flags> <status> <checksum>
 //
+// <flags> is the request payload's flags byte in decimal, coded by
+// net::PackOptionFlags / UnpackOptionFlags; a reserved bit is an error.
 // Offsets are the INTENDED schedule (deterministic by construction),
 // not measured wall-clock times — so a recorded trace is byte-stable
 // across machines and re-recordings. u64 values (seeds, checksum) are

@@ -167,9 +167,9 @@ struct ServiceOptions {
   /// recomputing from scratch, when the snapshot store can produce the
   /// delta. Disable to force every miss down the from-scratch path (A/B
   /// measurement, paranoia).
-  /// ctbus-lint: key-exempt(derive-vs-scratch produces the same precompute on the perturbation path; the quadrature path's carry error is bounded by max_warm_start_depth)
+  /// ctbus-lint: key-exempt(derive-vs-scratch differs only in carried Delta(e) values, whose error max_warm_start_depth bounds)
   bool warm_start_precompute = true;
-  /// Bound on the quadrature path's carry-error compounding: a donor whose
+  /// Bound on the warm start's carry-error compounding: a donor whose
   /// derivation chain is already this deep is not derived from again (the
   /// service falls back to an older shallower donor, or from scratch).
   /// From-scratch donors are always preferred when resident, so chains
@@ -203,11 +203,11 @@ struct PlanRequest {
   /// Name of a dataset previously registered with RegisterDataset.
   std::string dataset;
   /// Planner knobs, carried verbatim to the worker: the precompute fields
-  /// (tau, precompute estimator, perturbation toggle) feed the cache/batch
-  /// key, the sweepables (k, w, Tn, sn, planner variant toggles) stay free,
-  /// and the thread counts (precompute_threads, eta_threads — each request
-  /// may size its own frontier fan-out) are excluded from both keys because
-  /// results are bit-identical at any setting (core/options.h).
+  /// (tau, precompute estimator) feed the cache/batch key, the sweepables
+  /// (k, w, Tn, sn, planner variant toggles) stay free, and the thread
+  /// counts (precompute_threads, eta_threads — each request may size its
+  /// own frontier fan-out) are excluded from both keys because results
+  /// are bit-identical at any setting (core/options.h).
   core::CtBusOptions options;
   core::Planner planner = core::Planner::kEtaPre;
   /// Snapshot to plan against; 0 = latest at execution time.

@@ -1,15 +1,17 @@
 // Binary snapshot tests (src/io/snapshot.h): bit-identical round trips
-// against text-loaded originals (networks, universe, precompute with PR 8
-// pruned bits, demand ranking, inactive routes), byte-stable re-encoding
-// gated by a committed fixture (tests/data/grid.ctbs), the malformed-file
-// corpus (truncation at every section boundary, bad magic/version, flipped
-// checksum byte, oversized section length, trailing garbage — every
-// failure names its section, Load never returns a partial object), and
-// the PrecomputeCacheEntry spill-record container.
+// against text-loaded originals (networks, universe, precompute, demand
+// ranking, inactive routes), byte-stable re-encoding gated by a committed
+// fixture (tests/data/grid.ctbs) and byte pins, the malformed-file corpus
+// (truncation at every section boundary, bad magic/version, flipped
+// checksum byte, oversized section length, trailing garbage, nonzero
+// reserved fields — every failure names its section or field, Load never
+// returns a partial object), and the PrecomputeCacheEntry spill-record
+// container.
 #include "io/snapshot.h"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -120,12 +122,8 @@ TEST(SnapshotObjectsTest, TransitNetworkRoundTripsInactiveRoutes) {
 TEST(SnapshotObjectsTest, PrecomputeRoundTripsBitIdentically) {
   const graph::RoadNetwork road = GridRoad();
   const graph::TransitNetwork transit = GridTransit();
-  core::CtBusOptions options = GridOptions();
-  options.prune_candidates = true;  // exercise the PR 8 pruned bits
-  options.prune_keep_rank = 8;
   const core::Precompute precompute =
-      core::PlanningContext::RunPrecompute(road, transit, options);
-  ASSERT_FALSE(precompute.pruned.empty());
+      core::PlanningContext::RunPrecompute(road, transit, GridOptions());
 
   std::vector<std::uint8_t> bytes;
   EncodePrecompute(precompute, &bytes);
@@ -138,10 +136,10 @@ TEST(SnapshotObjectsTest, PrecomputeRoundTripsBitIdentically) {
             precompute.universe.num_new_edges());
   EXPECT_EQ(decoded.universe.num_stops(), precompute.universe.num_stops());
   EXPECT_EQ(decoded.increments, precompute.increments);
-  EXPECT_EQ(decoded.pruned, precompute.pruned);
+  EXPECT_EQ(decoded.base_trace, precompute.base_trace);
   EXPECT_EQ(decoded.stats.derived, precompute.stats.derived);
-  EXPECT_EQ(decoded.stats.num_increments_pruned,
-            precompute.stats.num_increments_pruned);
+  EXPECT_EQ(decoded.stats.num_increments_recomputed,
+            precompute.stats.num_increments_recomputed);
   for (int s = 0; s < precompute.universe.num_stops(); ++s) {
     EXPECT_EQ(decoded.universe.IncidentEdges(s),
               precompute.universe.IncidentEdges(s));
@@ -397,6 +395,87 @@ TEST(SnapshotCorruptionTest, OversizedListCountInsideSectionIsBounded) {
   ExpectRejected(std::move(file), "section ROAD");
 }
 
+/// `bytes` (a CTBS image) with the byte at `offset` of section `tag`'s
+/// payload set to `value` and that section's checksum recomputed, so the
+/// file is valid but for that field. A negative offset counts from the
+/// payload's end.
+std::vector<std::uint8_t> WithSectionByte(std::vector<std::uint8_t> bytes,
+                                          const std::string& tag,
+                                          std::ptrdiff_t offset,
+                                          std::uint8_t value) {
+  const auto sections = InspectSnapshot(bytes.data(), bytes.size());
+  EXPECT_TRUE(sections.has_value());
+  std::size_t payload = 12 + sections->size() * 20;
+  for (std::size_t i = 0; i < sections->size(); ++i) {
+    const SnapshotSectionInfo& section = (*sections)[i];
+    if (section.tag == tag) {
+      const std::ptrdiff_t size =
+          static_cast<std::ptrdiff_t>(section.payload_bytes);
+      bytes[payload + (offset >= 0 ? offset : size + offset)] = value;
+      const std::uint64_t checksum =
+          SnapshotChecksum(bytes.data() + payload, section.payload_bytes);
+      for (int b = 0; b < 8; ++b) {
+        bytes[12 + i * 20 + 12 + b] =
+            static_cast<std::uint8_t>(checksum >> (8 * b));
+      }
+      return bytes;
+    }
+    payload += section.payload_bytes;
+  }
+  ADD_FAILURE() << "no section " << tag;
+  return bytes;
+}
+
+TEST(SnapshotCorruptionTest, NonzeroReservedFieldFailsLoadByName) {
+  // A snapshot's PREC payload is the provenance — tau, probes,
+  // lanczos_steps, seed, probe_kind (28 bytes), then the reserved
+  // use_perturbation and prune_candidates bytes and prune_keep_rank i32 —
+  // followed by the precompute body. That body ends with the reserved
+  // has_pruned byte and 45 bytes of stats, whose 8th and 9th fields are
+  // the reserved stats_estimated / stats_pruned i32s.
+  const std::vector<std::uint8_t> bytes = EncodeSnapshot(MakeFullSnapshot());
+  ASSERT_EQ(WithSectionByte(bytes, "PREC", -46, 0), bytes);
+  const struct {
+    std::ptrdiff_t offset;
+    const char* field;
+  } cases[] = {{28, "provenance_use_perturbation"},
+               {29, "provenance_prune_candidates"},
+               {30, "provenance_prune_keep_rank"},
+               {-46, "has_pruned"},
+               {-12, "stats_estimated"},
+               {-8, "stats_pruned"}};
+  const std::string path = ::testing::TempDir() + "/reserved_field.ctbs";
+  for (const auto& c : cases) {
+    ASSERT_TRUE(WriteFileBytes(path, WithSectionByte(bytes, "PREC", c.offset,
+                                                     1)));
+    std::string error;
+    EXPECT_FALSE(LoadSnapshot(path, &error).has_value()) << c.field;
+    EXPECT_NE(error.find(std::string("field ") + c.field), std::string::npos)
+        << error;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotCorruptionTest, NonzeroReservedSpillKeyFieldFailsLoadByName) {
+  // The spill key ends with the provenance, so its reserved fields are the
+  // SKEY payload's last 6 bytes.
+  PrecomputeCacheEntry entry;
+  entry.dataset = "grid";
+  entry.snapshot_version = 1;
+  entry.provenance = MakeProvenance(GridOptions());
+  entry.precompute = core::PlanningContext::RunPrecompute(
+      GridRoad(), GridTransit(), GridOptions());
+  const std::vector<std::uint8_t> bytes = EncodePrecomputeCacheEntry(entry);
+  const std::string path = ::testing::TempDir() + "/reserved_field.spill";
+  ASSERT_TRUE(WriteFileBytes(path, WithSectionByte(bytes, "SKEY", -6, 1)));
+  std::string error;
+  EXPECT_FALSE(LoadPrecomputeCacheEntry(path, &error).has_value());
+  EXPECT_NE(error.find("field provenance_use_perturbation"),
+            std::string::npos)
+      << error;
+  std::filesystem::remove(path);
+}
+
 TEST(SnapshotCorruptionTest, MissingFileIsADiagnosedLoadFailure) {
   std::string error;
   EXPECT_FALSE(LoadSnapshot("/nonexistent/no.ctbs", &error).has_value());
@@ -457,6 +536,48 @@ TEST(SpillHashTest, StableHashSeparatesKeysAndIgnoresNothing) {
   PrecomputeProvenance other = provenance;
   other.seed ^= 1;
   EXPECT_NE(StableSpillHash("grid", 1, other), base);
+}
+
+// ------------------------------------------------------- byte pins ----
+// The grid-fixture precompute (tau 900, precompute estimator {6, 6, 6}, 1
+// thread) with its wall-clock stats zeroed, pinned by length and
+// SnapshotChecksum of its canonical encodings. A PREC or provenance layout
+// change, or any drift in the Delta(e) path, moves these.
+
+core::Precompute PinnedGridPrecompute() {
+  core::CtBusOptions options = GridOptions();
+  options.precompute_threads = 1;
+  core::Precompute pre =
+      core::PlanningContext::RunPrecompute(GridRoad(), GridTransit(), options);
+  pre.stats.universe_seconds = 0.0;
+  pre.stats.increments_seconds = 0.0;
+  return pre;
+}
+
+TEST(SnapshotPinTest, PrecomputeEncodingIsPinned) {
+  std::vector<std::uint8_t> bytes;
+  EncodePrecompute(PinnedGridPrecompute(), &bytes);
+  ASSERT_EQ(bytes.size(), 750u);
+  EXPECT_EQ(SnapshotChecksum(bytes.data(), bytes.size()),
+            0x8a4628383ff540baULL);
+}
+
+TEST(SnapshotPinTest, CacheEntryEncodingIsPinned) {
+  PrecomputeCacheEntry entry;
+  entry.dataset = "grid";
+  entry.snapshot_version = 1;
+  entry.network_fingerprint = NetworkFingerprint(GridRoad(), GridTransit());
+  entry.provenance = MakeProvenance(GridOptions());
+  entry.precompute = PinnedGridPrecompute();
+  const std::vector<std::uint8_t> bytes = EncodePrecomputeCacheEntry(entry);
+  ASSERT_EQ(bytes.size(), 858u);
+  EXPECT_EQ(SnapshotChecksum(bytes.data(), bytes.size()),
+            0x0045d257e42db996ULL);
+}
+
+TEST(SnapshotPinTest, SpillHashIsPinned) {
+  EXPECT_EQ(StableSpillHash("grid", 1, MakeProvenance(GridOptions())),
+            0xedadbe1eca2e9b4eULL);
 }
 
 }  // namespace

@@ -107,47 +107,6 @@ TEST(LanczosTest, ZeroStartVectorBreaksDownGracefully) {
   EXPECT_DOUBLE_EQ(lanczos.alpha[0], 0.0);
 }
 
-TEST(LanczosTest, ExpApplyMatchesDenseGroundTruth) {
-  Rng rng(21);
-  const auto a = RandomGraph(50, 4.0, &rng);
-  std::vector<double> v(50);
-  FillGaussian(&rng, &v);
-  const auto approx = LanczosExpApply(a, v, 30);
-  const auto exact = DenseExpApply(a, v);
-  std::vector<double> diff = exact;
-  Axpy(-1.0, approx, &diff);
-  EXPECT_LT(Norm2(diff), 1e-6 * Norm2(exact));
-}
-
-TEST(LanczosTest, ExpApplyTenStepsIsAccurateOnSparseGraph) {
-  // The paper uses t = 10; relative error should be far below 1% since
-  // ||A||_2 is small for sparse planar-ish graphs.
-  Rng rng(22);
-  const auto a = RandomGraph(80, 3.0, &rng);
-  std::vector<double> v(80);
-  FillGaussian(&rng, &v);
-  const auto approx = LanczosExpApply(a, v, 10);
-  const auto exact = DenseExpApply(a, v);
-  std::vector<double> diff = exact;
-  Axpy(-1.0, approx, &diff);
-  EXPECT_LT(Norm2(diff), 1e-2 * Norm2(exact));
-}
-
-TEST(LanczosTest, ExpApplyZeroVector) {
-  SymmetricSparseMatrix a(5);
-  a.Set(0, 1, 1.0);
-  const auto out = LanczosExpApply(a, std::vector<double>(5, 0.0), 5);
-  for (double x : out) EXPECT_DOUBLE_EQ(x, 0.0);
-}
-
-TEST(LanczosTest, ExpApplyOnEmptyGraphIsIdentityTimesE) {
-  // A = 0 => exp(A) = I... actually exp(0) = I so exp(A)v = v.
-  SymmetricSparseMatrix a(4);
-  const std::vector<double> v = {1.0, -2.0, 0.5, 3.0};
-  const auto out = LanczosExpApply(a, v, 4);
-  for (int i = 0; i < 4; ++i) EXPECT_NEAR(out[i], v[i], 1e-12);
-}
-
 TEST(LanczosTest, QuadratureMatchesExplicitForm) {
   Rng rng(23);
   const auto a = RandomGraph(40, 4.0, &rng);
@@ -239,62 +198,6 @@ TEST(LanczosTest, TopEigenvaluesKLargerThanDim) {
   Rng rng(2);
   const auto top = TopEigenvalues(a, 10, 10, &rng);
   EXPECT_EQ(top.size(), 3u);
-}
-
-TEST(LanczosTest, TopEigenpairsMatchDenseDecomposition) {
-  Rng rng(55);
-  const auto a = RandomGraph(60, 5.0, &rng);
-  const auto exact =
-      SymmetricEigen(DenseMatrix::FromSparse(a), /*compute_vectors=*/true);
-  Rng eig_rng(6);
-  const auto pairs = TopEigenpairs(a, 4, 55, &eig_rng);
-  ASSERT_EQ(pairs.eigenvalues.size(), 4u);
-  ASSERT_EQ(pairs.eigenvectors.size(), 4u);
-  const int n = a.dim();
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_NEAR(pairs.eigenvalues[i],
-                exact.eigenvalues[exact.eigenvalues.size() - 1 - i], 1e-6);
-    // Ritz vector must satisfy A z = lambda z.
-    std::vector<double> az(n);
-    a.Apply(pairs.eigenvectors[i], &az);
-    for (int row = 0; row < n; ++row) {
-      EXPECT_NEAR(az[row], pairs.eigenvalues[i] * pairs.eigenvectors[i][row],
-                  1e-5);
-    }
-    EXPECT_NEAR(Norm2(pairs.eigenvectors[i]), 1.0, 1e-9);
-  }
-}
-
-TEST(LanczosTest, TopEigenpairsOrthogonal) {
-  Rng rng(56);
-  const auto a = RandomGraph(50, 4.0, &rng);
-  Rng eig_rng(7);
-  const auto pairs = TopEigenpairs(a, 5, 45, &eig_rng);
-  for (std::size_t i = 0; i < pairs.eigenvectors.size(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      EXPECT_NEAR(Dot(pairs.eigenvectors[i], pairs.eigenvectors[j]), 0.0,
-                  1e-6);
-    }
-  }
-}
-
-TEST(LanczosTest, TopEigenpairsEmptyRequests) {
-  SymmetricSparseMatrix a(5);
-  a.Set(0, 1, 1.0);
-  Rng rng(1);
-  EXPECT_TRUE(TopEigenpairs(a, 0, 10, &rng).eigenvalues.empty());
-  SymmetricSparseMatrix empty(0);
-  EXPECT_TRUE(TopEigenpairs(empty, 3, 10, &rng).eigenvalues.empty());
-}
-
-TEST(LanczosTest, SpectralNormEstimateMatchesDense) {
-  Rng rng(66);
-  const auto a = RandomGraph(60, 4.0, &rng);
-  const auto exact = SymmetricEigenvalues(DenseMatrix::FromSparse(a));
-  const double norm_exact =
-      std::max(std::abs(exact.front()), std::abs(exact.back()));
-  Rng est_rng(3);
-  EXPECT_NEAR(SpectralNormEstimate(a, 40, &est_rng), norm_exact, 1e-6);
 }
 
 // Property sweep: Lanczos exp quadrature error decays with steps across

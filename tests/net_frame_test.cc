@@ -77,7 +77,6 @@ void ExpectRequestsEqual(const RequestFrame& a, const RequestFrame& b) {
   EXPECT_EQ(x.online_estimator.probe_kind, y.online_estimator.probe_kind);
   EXPECT_EQ(x.precompute_estimator.probes, y.precompute_estimator.probes);
   EXPECT_EQ(x.precompute_estimator.seed, y.precompute_estimator.seed);
-  EXPECT_EQ(x.use_perturbation_precompute, y.use_perturbation_precompute);
   EXPECT_EQ(x.best_neighbor_only, y.best_neighbor_only);
   EXPECT_EQ(x.use_domination_table, y.use_domination_table);
   EXPECT_EQ(x.seed_all_edges, y.seed_all_edges);
@@ -176,7 +175,6 @@ TEST(NetFrame, RandomizedRequestRoundTrip) {
     options.precompute_estimator.seed = rng();
     options.precompute_estimator.probe_kind =
         static_cast<connectivity::ProbeKind>(rng() % 2);
-    options.use_perturbation_precompute = rng() % 2 == 0;
     options.best_neighbor_only = rng() % 2 == 0;
     options.use_domination_table = rng() % 2 == 0;
     options.seed_all_edges = rng() % 2 == 0;
@@ -408,6 +406,35 @@ TEST(NetFrame, InvalidFieldValuesRejected) {
     RequestFrame frame = MakeRequest();
     frame.request.options.precompute_estimator.lanczos_steps = 100001;
     ExpectRequestRejected(frame, "precompute_estimator");
+  }
+}
+
+TEST(NetFrame, ReservedFlagBitsRejected) {
+  // flags is the payload's last byte. Bit 0 once selected the deleted
+  // perturbation precompute; bits 5-7 were never assigned.
+  const std::vector<std::uint8_t> frame = EncodeRequestFrame(MakeRequest());
+  for (int bit : {0, 5, 6, 7}) {
+    std::vector<std::uint8_t> payload(frame.begin() + kHeaderBytes,
+                                      frame.end());
+    payload.back() |= static_cast<std::uint8_t>(1u << bit);
+    RequestFrame decoded;
+    std::string error;
+    EXPECT_FALSE(DecodeRequestPayload(payload.data(), payload.size(),
+                                      &decoded, &error))
+        << "reserved flag bit " << bit << " accepted";
+    EXPECT_NE(error.find("flags"), std::string::npos) << error;
+  }
+}
+
+TEST(NetFrame, OptionFlagCodecRoundTripsEveryValidByte) {
+  for (int value = 0; value < 256; ++value) {
+    const auto flags = static_cast<std::uint8_t>(value);
+    core::CtBusOptions options;
+    const bool valid = (flags & kReservedOptionFlags) == 0;
+    EXPECT_EQ(UnpackOptionFlags(flags, &options), valid) << value;
+    if (valid) {
+      EXPECT_EQ(PackOptionFlags(options), flags) << value;
+    }
   }
 }
 

@@ -231,6 +231,19 @@ TEST(NetReplay, MalformedTraceFilesRejectedWithDiagnostics) {
                             "6 0 0000000000000000 extra\n")
                 .find("trailing"),
             std::string::npos);
+  // Reserved flag bits: bit 0 (flags 7) and bit 5 (flags 38) name the
+  // field at path:line.
+  for (const char* flags : {"7", "38"}) {
+    EXPECT_NE(write_and_parse(std::string("ctbus-trace-v1 dataset=grid "
+                                          "records=1\n"
+                                          "0 0 0 1 1 4 0.3 500 3 100 100 "
+                                          "12 6 0000000000000003 0 5 5 "
+                                          "0000000000000007 0 ") +
+                              flags + " 0 0000000000000000\n")
+                  .find(path + ":2: field flags"),
+              std::string::npos)
+        << "flags " << flags;
+  }
   std::remove(path.c_str());
 }
 

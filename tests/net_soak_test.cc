@@ -42,7 +42,6 @@ core::CtBusOptions SoakOptions(int client, int index) {
   options.online_estimator = {/*probes=*/12, /*lanczos_steps=*/6, /*seed=*/3};
   options.precompute_estimator = {/*probes=*/5, /*lanczos_steps=*/5,
                                   /*seed=*/7};
-  options.use_perturbation_precompute = true;
   return options;
 }
 
@@ -85,9 +84,11 @@ TEST(NetSoak, ConcurrentClientsWithCommitsReplayBitIdentically) {
   service_options.num_threads = 2;
   service_options.cache_capacity = 8;
   service_options.max_batch_size = 4;
-  // Perturbation warm starts derive bit-identically (docs/PRECOMPUTE.md),
-  // so the from-scratch serial replay stays exact under commits.
-  service_options.warm_start_precompute = true;
+  // Warm starts carry rebased Delta(e) values by design (docs/
+  // PRECOMPUTE.md); with them off, every answer is planned over a
+  // from-scratch precompute and the serial replay stays exact under
+  // commits.
+  service_options.warm_start_precompute = false;
   PlanningService service(service_options);
   const gen::Dataset midtown = gen::MakeMidtown();
   service.RegisterDataset("alpha", midtown.road, midtown.transit);

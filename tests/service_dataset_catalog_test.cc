@@ -267,7 +267,7 @@ TEST(DatasetCatalogTest, TightBudgetsNeverChangePlanningResults) {
   // (cache byte budget ~1 entry, keep-latest-1 retention) must produce
   // bit-identical plans for the same request sequence — only stats (cache
   // hits, evictions, prunes) may differ. Warm starts are disabled so the
-  // stochastic derive approximation cannot blur the comparison
+  // carried (rebased) Delta(e) values cannot blur the comparison
   // (docs/PRECOMPUTE.md); budgets are exercised on the miss path instead.
   const auto run = [](std::size_t cache_max_bytes,
                       std::size_t keep_latest) {

@@ -1,9 +1,11 @@
 // Deterministic multi-threaded stress of the sharded serving layer:
 // several submitter threads flood two dataset shards with mixed-priority,
 // mixed-planner requests while the main thread interleaves commits that
-// advance one of the cities. Afterwards every single result is replayed
-// serially — a fresh PlanningContext over the exact snapshot version the
-// service resolved — and must match bit for bit.
+// advance one of the cities. Afterwards every result planned over a
+// from-scratch precompute is replayed serially — a fresh PlanningContext
+// over the exact snapshot version the service resolved — and must match
+// bit for bit; a result planned over a warm-started precompute must be a
+// valid route in that version's universe.
 //
 // The schedule (which worker runs what, when commits land relative to
 // version-0 resolutions) is intentionally nondeterministic; the *results*
@@ -70,16 +72,45 @@ core::PlanResult SerialReplay(const PlanningService& service,
   return {};
 }
 
-/// Warm-start handling: the stochastic Delta(e) estimator's derive path is
-/// deliberately NOT bit-identical to a from-scratch precompute (see
-/// docs/PRECOMPUTE.md), so a from-scratch serial replay can only be exact
-/// if the service either (a) never warm-starts, or (b) warm-starts over
-/// the perturbation model, whose derivation IS bit-identical. The stress
-/// test runs both flavors.
+/// A derived answer's check: found, at most k edges, and every edge a
+/// universe edge of the version it was planned against (the universe a
+/// from-scratch precompute builds) that joins consecutive route stops.
+void ExpectStructurallyValid(const PlanningService& service,
+                             const ServiceResult& result) {
+  ASSERT_TRUE(result.plan.found);
+  const SnapshotPtr snapshot = service.Snapshot(
+      result.request.dataset, result.stats.snapshot_version);
+  ASSERT_NE(snapshot, nullptr);
+  core::EdgeUniverseOptions universe_options;
+  universe_options.tau = result.request.options.tau;
+  const core::EdgeUniverse universe = core::EdgeUniverse::Build(
+      *snapshot->road, *snapshot->transit, universe_options);
+  const std::vector<int>& edges = result.plan.path.edges();
+  const std::vector<int>& stops = result.plan.path.stops();
+  ASSERT_FALSE(edges.empty());
+  EXPECT_LE(static_cast<int>(edges.size()), result.request.options.k);
+  ASSERT_EQ(stops.size(), edges.size() + 1);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    ASSERT_GE(edges[i], 0);
+    ASSERT_LT(edges[i], universe.num_edges());
+    const core::PlannableEdge& edge = universe.edge(edges[i]);
+    EXPECT_TRUE((edge.u == stops[i] && edge.v == stops[i + 1]) ||
+                (edge.v == stops[i] && edge.u == stops[i + 1]))
+        << "edge " << edges[i] << " at position " << i;
+  }
+}
+
+/// Warm-start handling: a warm start carries untouched candidates'
+/// Delta(e) from the donor, rebased to the new base trace, which is
+/// approximate by design (docs/PRECOMPUTE.md). So an answer replays
+/// bit-identically from scratch exactly when it was planned over a
+/// from-scratch precompute (derivation_depth 0); an answer planned over a
+/// derived precompute is checked structurally instead. The stress test
+/// runs with warm starts off (every answer replays) and on.
 class ConcurrentStressTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ConcurrentStressTest, SubmitsAndCommitsMatchSerialReplay) {
-  const bool perturbation_warm_start = GetParam();
+  const bool warm_start = GetParam();
   constexpr int kSubmitters = 4;
   constexpr int kRequestsPerSubmitter = 8;
   constexpr int kCommits = 3;
@@ -88,7 +119,7 @@ TEST_P(ConcurrentStressTest, SubmitsAndCommitsMatchSerialReplay) {
   service_options.num_threads = 2;   // per shard: 2 datasets -> 4 workers
   service_options.cache_capacity = 8;
   service_options.max_batch_size = 4;
-  service_options.warm_start_precompute = perturbation_warm_start;
+  service_options.warm_start_precompute = warm_start;
   PlanningService service(service_options);
   const gen::Dataset midtown = gen::MakeMidtown();
   service.RegisterDataset("alpha", midtown.road, midtown.transit);
@@ -100,12 +131,11 @@ TEST_P(ConcurrentStressTest, SubmitsAndCommitsMatchSerialReplay) {
   std::vector<std::thread> submitters;
   submitters.reserve(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&service, &futures, s, perturbation_warm_start] {
+    submitters.emplace_back([&service, &futures, s] {
       for (int i = 0; i < kRequestsPerSubmitter; ++i) {
         PlanRequest request;
         request.dataset = (s + i) % 2 == 0 ? "alpha" : "beta";
         request.options = StressOptions();
-        request.options.use_perturbation_precompute = perturbation_warm_start;
         request.options.k = 4 + (i % 3);
         request.options.w = 0.3 + 0.2 * (s % 3);
         request.planner = i % 3 == 0 ? core::Planner::kVkTsp
@@ -125,24 +155,33 @@ TEST_P(ConcurrentStressTest, SubmitsAndCommitsMatchSerialReplay) {
     PlanRequest request;
     request.dataset = "alpha";
     request.options = StressOptions();
-    request.options.use_perturbation_precompute = perturbation_warm_start;
     const ServiceResult result = service.Plan(request);
     ASSERT_TRUE(result.plan.found);
     service.CommitAsync(result).get();
   }
   for (std::thread& submitter : submitters) submitter.join();
 
-  // Gather every result, then replay each serially and compare.
+  // Gather every result, then replay each from-scratch answer serially
+  // and compare; check each derived answer structurally.
   int replayed = 0;
+  int derived = 0;
   for (auto& submitter_futures : futures) {
     for (auto& future : submitter_futures) {
       const ServiceResult result = future.get();
       ASSERT_GE(result.stats.snapshot_version, 1u);
-      ExpectBitIdentical(result.plan, SerialReplay(service, result));
-      ++replayed;
+      if (result.stats.precompute.derivation_depth == 0) {
+        ExpectBitIdentical(result.plan, SerialReplay(service, result));
+        ++replayed;
+      } else {
+        ExpectStructurallyValid(service, result);
+        ++derived;
+      }
     }
   }
-  EXPECT_EQ(replayed, kSubmitters * kRequestsPerSubmitter);
+  EXPECT_EQ(replayed + derived, kSubmitters * kRequestsPerSubmitter);
+  if (!warm_start) {
+    EXPECT_EQ(derived, 0);
+  }
 
   const auto stats = service.service_stats();
   EXPECT_EQ(stats.submitted,
@@ -157,17 +196,17 @@ TEST_P(ConcurrentStressTest, SubmitsAndCommitsMatchSerialReplay) {
   for (std::uint64_t v = 1; v <= 1 + kCommits; ++v) {
     EXPECT_NE(service.Snapshot("alpha", v), nullptr);
   }
-  if (perturbation_warm_start) {
+  if (warm_start) {
     // With commits advancing alpha, at least one miss should have been
-    // answered by deriving from an ancestor — and still replayed exactly.
+    // answered by deriving from an ancestor.
     EXPECT_GT(service.service_stats().precomputes_derived, 0u);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(FromScratchAndPerturbationWarmStart,
-                         ConcurrentStressTest, ::testing::Bool(),
+INSTANTIATE_TEST_SUITE_P(FromScratchAndWarmStart, ConcurrentStressTest,
+                         ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "PerturbationWarmStart"
+                           return info.param ? "QuadratureWarmStart"
                                              : "FromScratchOnly";
                          });
 

@@ -1,9 +1,9 @@
 // Warm-start correctness: a precompute derived across snapshot versions
 // (SnapshotStore lineage + PlanningContext::DerivePrecompute) must match a
 // from-scratch RunPrecompute on the new snapshot — bit-identically for the
-// universe, the perturbation path and recomputed quadrature Delta(e),
-// within second-order error for carried ones, which are exactly the
-// donor's values rebased to the new base trace (see docs/PRECOMPUTE.md).
+// universe and recomputed Delta(e), within second-order error for carried
+// ones, which are exactly the donor's values rebased to the new base trace
+// (see docs/PRECOMPUTE.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +24,7 @@
 namespace ctbus::service {
 namespace {
 
-/// Carried stochastic increments differ from from-scratch by the
+/// Carried increments differ from from-scratch by the
 /// interaction between a candidate and the committed edges, which shrinks
 /// with network size. Midtown is the worst case the contract must bound —
 /// two stacked k=6 commits perturb a ~50-edge network, giving carry errors
@@ -34,7 +34,7 @@ namespace {
 /// increment scale.
 constexpr double kCarryToleranceFraction = 0.5;
 
-core::CtBusOptions FastOptions(bool perturbation = false) {
+core::CtBusOptions FastOptions() {
   core::CtBusOptions options;
   options.k = 6;
   options.seed_count = 150;
@@ -42,7 +42,6 @@ core::CtBusOptions FastOptions(bool perturbation = false) {
   options.online_estimator = {/*probes=*/16, /*lanczos_steps=*/8, /*seed=*/5};
   options.precompute_estimator = {/*probes=*/6, /*lanczos_steps=*/6,
                                   /*seed=*/6};
-  options.use_perturbation_precompute = perturbation;
   return options;
 }
 
@@ -79,11 +78,10 @@ void ExpectUniversesIdentical(const core::EdgeUniverse& actual,
 }
 
 /// Derived vs from-scratch increments: exact where the contract is exact,
-/// within a fraction of the increment scale for carried stochastic values.
+/// within a fraction of the increment scale for carried values.
 void ExpectIncrementsMatch(const core::Precompute& derived,
                            const core::Precompute& scratch,
-                           const core::SnapshotDelta& delta,
-                           bool perturbation) {
+                           const core::SnapshotDelta& delta) {
   ASSERT_EQ(derived.increments.size(), scratch.increments.size());
   const double carry_tolerance =
       kCarryToleranceFraction *
@@ -100,11 +98,9 @@ void ExpectIncrementsMatch(const core::Precompute& derived,
   };
   for (int e = 0; e < derived.universe.num_edges(); ++e) {
     const core::PlannableEdge& edge = derived.universe.edge(e);
-    if (perturbation || !edge.is_new || stop_touched(edge.u) ||
-        stop_touched(edge.v)) {
-      // Bit-identical: the perturbation path re-evaluates everything
-      // against the same rebuilt model, and touched stochastic candidates
-      // are recomputed with the same estimator and base.
+    if (!edge.is_new || stop_touched(edge.u) || stop_touched(edge.v)) {
+      // Bit-identical: touched candidates are recomputed with the same
+      // kernel and base trace.
       EXPECT_EQ(derived.increments[e], scratch.increments[e]) << "edge " << e;
     } else {
       EXPECT_NEAR(derived.increments[e], scratch.increments[e],
@@ -179,14 +175,15 @@ TEST(SnapshotDeltaTest, CommitRecordsLineageAndEdgeDiff) {
   EXPECT_FALSE(store.DeltaBetween(99, 2).has_value());
 }
 
+// A single-instance parameterized suite: it once ran a second Delta(e)
+// path, and keeps its instance name so the test ids stay stable.
 class WarmStartTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(WarmStartTest, DerivedMatchesFromScratchAfterOneCommit) {
-  const bool perturbation = GetParam();
   gen::Dataset d = gen::MakeMidtown();
   const int num_stops = d.transit.num_stops();
   SnapshotStore store(std::move(d.road), std::move(d.transit));
-  const core::CtBusOptions options = FastOptions(perturbation);
+  const core::CtBusOptions options = FastOptions();
 
   const SnapshotPtr v1 = store.Get(1);
   const core::Precompute pre1 =
@@ -200,21 +197,16 @@ TEST_P(WarmStartTest, DerivedMatchesFromScratchAfterOneCommit) {
       v2.delta_from_parent);
 
   ExpectUniversesIdentical(derived.universe, scratch.universe, num_stops);
-  ExpectIncrementsMatch(derived, scratch, v2.delta_from_parent, perturbation);
+  ExpectIncrementsMatch(derived, scratch, v2.delta_from_parent);
 
   EXPECT_TRUE(derived.stats.derived);
   EXPECT_FALSE(scratch.stats.derived);
-  if (perturbation) {
-    EXPECT_EQ(derived.stats.num_increments_recomputed,
-              derived.universe.num_new_edges());
-  } else {
-    EXPECT_EQ(derived.stats.num_increments_recomputed +
-                  derived.stats.num_increments_carried,
-              derived.universe.num_new_edges());
-    EXPECT_GT(derived.stats.num_increments_carried, 0);
-    EXPECT_LT(derived.stats.num_increments_recomputed,
-              derived.universe.num_new_edges());
-  }
+  EXPECT_EQ(derived.stats.num_increments_recomputed +
+                derived.stats.num_increments_carried,
+            derived.universe.num_new_edges());
+  EXPECT_GT(derived.stats.num_increments_carried, 0);
+  EXPECT_LT(derived.stats.num_increments_recomputed,
+            derived.universe.num_new_edges());
 }
 
 TEST(WarmStartRebaseTest, CarriedValuesAreTheRebasedDonorValues) {
@@ -267,11 +259,10 @@ TEST(WarmStartRebaseTest, CarriedValuesAreTheRebasedDonorValues) {
 }
 
 TEST_P(WarmStartTest, StackedCommitsDeriveDirectlyAndThroughTheChain) {
-  const bool perturbation = GetParam();
   gen::Dataset d = gen::MakeMidtown();
   const int num_stops = d.transit.num_stops();
   SnapshotStore store(std::move(d.road), std::move(d.transit));
-  const core::CtBusOptions options = FastOptions(perturbation);
+  const core::CtBusOptions options = FastOptions();
 
   const SnapshotPtr v1 = store.Get(1);
   const core::Precompute pre1 =
@@ -294,7 +285,7 @@ TEST_P(WarmStartTest, StackedCommitsDeriveDirectlyAndThroughTheChain) {
   const core::Precompute direct = core::PlanningContext::DerivePrecompute(
       *v3.snapshot->road, *v3.snapshot->transit, options, pre1, *composed);
   ExpectUniversesIdentical(direct.universe, scratch3.universe, num_stops);
-  ExpectIncrementsMatch(direct, scratch3, *composed, perturbation);
+  ExpectIncrementsMatch(direct, scratch3, *composed);
 
   // Chained derivation: derive v3 from the already-derived v2 precompute.
   // Only candidates touched by the *second* commit are recomputed here
@@ -305,14 +296,13 @@ TEST_P(WarmStartTest, StackedCommitsDeriveDirectlyAndThroughTheChain) {
       *v3.snapshot->road, *v3.snapshot->transit, options, derived2,
       v3.delta_from_parent);
   ExpectUniversesIdentical(chained.universe, scratch3.universe, num_stops);
-  ExpectIncrementsMatch(chained, scratch3, v3.delta_from_parent,
-                        perturbation);
+  ExpectIncrementsMatch(chained, scratch3, v3.delta_from_parent);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothEstimatorPaths, WarmStartTest,
-                         ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Perturbation" : "Stochastic";
+                         ::testing::Values(false),
+                         [](const ::testing::TestParamInfo<bool>&) {
+                           return "Stochastic";
                          });
 
 TEST(ServiceWarmStartTest, CommitThenLatestPlanDerivesInsteadOfRecomputing) {
@@ -350,7 +340,7 @@ TEST(ServiceWarmStartTest, CommitThenLatestPlanDerivesInsteadOfRecomputing) {
 TEST(ServiceWarmStartTest, DerivationsAnchorToTheScratchDonor) {
   // Stacked commits must not chain derivations when the from-scratch
   // donor is still resident: depth stays at 1 (anchored to v1's exact
-  // precompute via the composed delta), bounding stochastic carry error.
+  // precompute via the composed delta), bounding carry error.
   ServiceOptions service_options;
   service_options.num_threads = 1;
   PlanningService service(service_options);
@@ -373,43 +363,29 @@ TEST(ServiceWarmStartTest, DerivationsAnchorToTheScratchDonor) {
   EXPECT_GT(r3.stats.precompute.num_increments_carried, 0);
 }
 
-TEST(ServiceWarmStartTest, PerturbationPathServesBitIdenticalPlans) {
-  // Two services committing the same (deterministic) first route: one warm
-  // starts, one recomputes from scratch. On the perturbation path the
-  // post-commit plans must be bit-identical.
+TEST(ServiceWarmStartTest, DisabledWarmStartRecomputesFromScratch) {
+  ServiceOptions service_options;
+  service_options.num_threads = 1;
+  service_options.warm_start_precompute = false;
+  PlanningService service(service_options);
+  service.RegisterPreset("midtown");
+
   PlanRequest request;
   request.dataset = "midtown";
-  request.options = FastOptions(/*perturbation=*/true);
+  request.options = FastOptions();
 
-  ServiceOptions warm_options;
-  warm_options.num_threads = 1;
-  PlanningService warm(warm_options);
-  warm.RegisterPreset("midtown");
+  const ServiceResult first = service.Plan(request);
+  ASSERT_TRUE(first.plan.found);
+  service.Commit(first);
+  const ServiceResult second = service.Plan(request);  // latest is now v2
+  EXPECT_EQ(second.stats.snapshot_version, 2u);
+  EXPECT_FALSE(second.stats.precompute_cache_hit);
+  EXPECT_FALSE(second.stats.precompute_derived);
+  ASSERT_TRUE(second.plan.found);
 
-  ServiceOptions cold_options;
-  cold_options.num_threads = 1;
-  cold_options.warm_start_precompute = false;
-  PlanningService cold(cold_options);
-  cold.RegisterPreset("midtown");
-
-  const ServiceResult warm_first = warm.Plan(request);
-  const ServiceResult cold_first = cold.Plan(request);
-  ASSERT_TRUE(warm_first.plan.found);
-  ASSERT_EQ(warm_first.plan.path.stops(), cold_first.plan.path.stops());
-  warm.Commit(warm_first);
-  cold.Commit(cold_first);
-
-  const ServiceResult warm_second = warm.Plan(request);
-  const ServiceResult cold_second = cold.Plan(request);
-  EXPECT_TRUE(warm_second.stats.precompute_derived);
-  EXPECT_FALSE(cold_second.stats.precompute_derived);
-  ASSERT_TRUE(warm_second.plan.found);
-  EXPECT_EQ(warm_second.plan.path.edges(), cold_second.plan.path.edges());
-  EXPECT_EQ(warm_second.plan.path.stops(), cold_second.plan.path.stops());
-  EXPECT_EQ(warm_second.plan.objective, cold_second.plan.objective);
-  EXPECT_EQ(warm_second.plan.demand, cold_second.plan.demand);
-  EXPECT_EQ(warm_second.plan.connectivity_increment,
-            cold_second.plan.connectivity_increment);
+  const auto stats = service.service_stats();
+  EXPECT_EQ(stats.precomputes_from_scratch, 2u);
+  EXPECT_EQ(stats.precomputes_derived, 0u);
 }
 
 }  // namespace
