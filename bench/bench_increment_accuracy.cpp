@@ -171,16 +171,16 @@ bool RunScale(double scale, int samples, ctbus::bench::BenchReport* report,
     sample.push_back(candidates[i]);
   }
 
-  SymmetricSparseMatrix adjacency = city.transit.AdjacencyMatrix();
+  const SymmetricSparseMatrix adjacency = city.transit.AdjacencyMatrix();
   std::vector<double> exact;
   exact.reserve(sample.size());
   const double base_exact =
       ctbus::connectivity::NaturalConnectivityExact(adjacency);
   for (const auto& [u, v] : sample) {
-    adjacency.Set(u, v, 1.0);
-    exact.push_back(ctbus::connectivity::NaturalConnectivityExact(adjacency) -
+    SymmetricSparseMatrix with_edge = adjacency;
+    with_edge.Set(u, v, 1.0);
+    exact.push_back(ctbus::connectivity::NaturalConnectivityExact(with_edge) -
                     base_exact);
-    adjacency.Remove(u, v);
   }
 
   const ctbus::core::CtBusOptions defaults;

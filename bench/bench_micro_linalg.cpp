@@ -109,19 +109,6 @@ void BM_SparseApplyBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseApplyBlock)->Arg(1024)->Arg(8192)->Arg(65536);
 
-void BM_EdgeAddRemove(benchmark::State& state) {
-  auto a = RandomGraph(4096, 4.0, 7);
-  ctbus::linalg::Rng rng(8);
-  for (auto _ : state) {
-    const int u = static_cast<int>(rng.NextIndex(4096));
-    const int v = static_cast<int>(rng.NextIndex(4096));
-    if (u == v || a.Contains(u, v)) continue;
-    a.Set(u, v, 1.0);
-    a.Remove(u, v);
-  }
-}
-BENCHMARK(BM_EdgeAddRemove);
-
 }  // namespace
 
 BENCHMARK_MAIN();

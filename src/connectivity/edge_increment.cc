@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <stdexcept>
+#include <string>
 
 #include "linalg/lanczos.h"
 #include "linalg/matvec.h"
@@ -110,6 +112,64 @@ class EdgeBallOperator final : public linalg::MatVec {
   double tail_[linalg::kLanes] = {};
 };
 
+// `base` plus unit-weight edges staged at the tails of their rows, without
+// writing `base`. SymmetricSparseMatrix sums each row in stored order, and
+// Set appends a new entry at its row's tail, so adding the staged pairs'
+// terms after base's own product, in staging order, gives the bits of
+// Set-then-ApplyBlock for every lane count (the gather/scatter default
+// included). Apply is the one-lane case.
+class StagedEdgeView final : public linalg::MatVec {
+ public:
+  explicit StagedEdgeView(const linalg::SymmetricSparseMatrix& base)
+      : base_(base) {}
+
+  // Stages {u, v} unless `base` stores it or it is staged already, in
+  // either orientation — the pairs Set-then-Contains would skip. Rejects
+  // the pairs Set rejects, with the same exceptions.
+  void Stage(int u, int v) {
+    if (u == v) {
+      throw std::invalid_argument("EdgeSetIncrement: diagonal pair (" +
+                                  std::to_string(u) + ", " +
+                                  std::to_string(v) + ")");
+    }
+    if (u < 0 || u >= dim() || v < 0 || v >= dim()) {
+      throw std::out_of_range("EdgeSetIncrement: pair (" + std::to_string(u) +
+                              ", " + std::to_string(v) + ") outside [0, " +
+                              std::to_string(dim()) + ")");
+    }
+    if (base_.Contains(u, v)) return;
+    for (const auto& [a, b] : staged_) {
+      if ((a == u && b == v) || (a == v && b == u)) return;
+    }
+    staged_.emplace_back(u, v);
+  }
+
+  bool empty() const { return staged_.empty(); }
+
+  int dim() const override { return base_.dim(); }
+
+  void Apply(const std::vector<double>& x,
+             std::vector<double>* y) const override {
+    ApplyBlock(x.data(), 1, y->data());
+  }
+
+  void ApplyBlock(const double* x, int lanes, double* y) const override {
+    base_.ApplyBlock(x, lanes, y);
+    for (const auto& [u, v] : staged_) {
+      const std::size_t ru = static_cast<std::size_t>(u) * lanes;
+      const std::size_t rv = static_cast<std::size_t>(v) * lanes;
+      for (int b = 0; b < lanes; ++b) {
+        y[ru + b] += x[rv + b];
+        y[rv + b] += x[ru + b];
+      }
+    }
+  }
+
+ private:
+  const linalg::SymmetricSparseMatrix& base_;
+  std::vector<std::pair<int, int>> staged_;
+};
+
 }  // namespace
 
 void EdgeTraceQuadratures(const linalg::SymmetricSparseMatrix& a, int u,
@@ -154,43 +214,20 @@ double RebaseIncrement(double increment, double from_trace,
                   std::log1p(std::expm1(increment) * from_trace / to_trace));
 }
 
-double EdgeIncrement(linalg::SymmetricSparseMatrix* base, double base_lambda,
-                     const ConnectivityEstimator& estimator, int u, int v) {
-  if (base->Contains(u, v)) return 0.0;
-  base->Set(u, v, 1.0);
-  const double lambda_after = estimator.Estimate(*base);
-  base->Remove(u, v);
-  return lambda_after - base_lambda;
-}
-
-std::vector<double> ComputeEdgeIncrements(
-    linalg::SymmetricSparseMatrix* base,
-    const ConnectivityEstimator& estimator,
-    const std::vector<std::pair<int, int>>& stop_pairs) {
-  const double base_lambda = estimator.Estimate(*base);
-  std::vector<double> increments;
-  increments.reserve(stop_pairs.size());
-  for (const auto& [u, v] : stop_pairs) {
-    increments.push_back(EdgeIncrement(base, base_lambda, estimator, u, v));
-  }
-  return increments;
-}
-
-double EdgeSetIncrement(linalg::SymmetricSparseMatrix* base,
+double EdgeSetIncrement(const linalg::SymmetricSparseMatrix* base,
                         double base_lambda,
                         const ConnectivityEstimator& estimator,
                         const std::vector<std::pair<int, int>>& stop_pairs) {
-  std::vector<std::pair<int, int>> added;
-  added.reserve(stop_pairs.size());
-  for (const auto& [u, v] : stop_pairs) {
-    if (!base->Contains(u, v)) {
-      base->Set(u, v, 1.0);
-      added.emplace_back(u, v);
-    }
-  }
-  const double lambda_after = estimator.Estimate(*base);
-  for (const auto& [u, v] : added) base->Remove(u, v);
-  return lambda_after - base_lambda;
+  StagedEdgeView view(*base);
+  for (const auto& [u, v] : stop_pairs) view.Stage(u, v);
+  if (view.empty()) return 0.0;
+  return estimator.Estimate(view) - base_lambda;
+}
+
+double EdgeIncrement(const linalg::SymmetricSparseMatrix* base,
+                     double base_lambda, const ConnectivityEstimator& estimator,
+                     int u, int v) {
+  return EdgeSetIncrement(base, base_lambda, estimator, {{u, v}});
 }
 
 }  // namespace ctbus::connectivity

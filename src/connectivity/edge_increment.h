@@ -12,10 +12,12 @@
 //     dense oracle its Spearman rank correlation is 1.000 at chicago
 //     scales 0.5 and 1.0, with mean absolute error ~5e-6
 //     (bench/bench_increment_accuracy.cpp; docs/PRECOMPUTE.md).
-//   * EdgeIncrement and friends: two Hutchinson estimates through one
-//     shared ConnectivityEstimator (common random numbers), differenced.
-//     The stochastic reference for the figure benches; its noise is of the
-//     order of the increments themselves (Spearman 0.08-0.18 at 8 x 8).
+//   * EdgeIncrement / EdgeSetIncrement: two Hutchinson estimates through
+//     one shared ConnectivityEstimator (common random numbers),
+//     differenced, with the new edges staged in a read-only view of the
+//     adjacency. Online ETA's estimate and the stochastic reference for
+//     the figure benches; its noise is of the order of the increments
+//     themselves (Spearman 0.08-0.18 at 8 x 8).
 #ifndef CTBUS_CONNECTIVITY_EDGE_INCREMENT_H_
 #define CTBUS_CONNECTIVITY_EDGE_INCREMENT_H_
 
@@ -79,27 +81,30 @@ double IncrementFromTrace(double trace_increment, double base_trace);
 /// applies it to every carried value.
 double RebaseIncrement(double increment, double from_trace, double to_trace);
 
-/// Delta(e) for one prospective edge {u, v} by Hutchinson differencing. `base` is mutated during the
-/// call but restored before returning. `base_lambda` must be the estimator's
-/// own estimate of lambda(base).
-double EdgeIncrement(linalg::SymmetricSparseMatrix* base, double base_lambda,
-                     const ConnectivityEstimator& estimator, int u, int v);
-
-/// Delta(e) for a batch of prospective edges (stop pairs). Pairs already
-/// present in `base` get increment 0 (adding an existing edge changes
-/// nothing in the unweighted adjacency).
-std::vector<double> ComputeEdgeIncrements(
-    linalg::SymmetricSparseMatrix* base,
-    const ConnectivityEstimator& estimator,
-    const std::vector<std::pair<int, int>>& stop_pairs);
-
-/// Increment of a whole edge set added at once:
-/// lambda(G + edges) - lambda(G). Used to probe (non-)submodularity
-/// (Figure 3): compare against the sum of the individual Delta(e).
-double EdgeSetIncrement(linalg::SymmetricSparseMatrix* base,
+/// Increment of a whole edge set added at once, lambda(G + edges) -
+/// lambda(G), as the difference of two Hutchinson estimates through one
+/// shared estimator (common random numbers); `base_lambda` must be the
+/// estimator's own estimate of lambda(base). The pairs are staged in order
+/// as unit-weight entries at the tails of their rows in a read-only view of
+/// `base` — where SymmetricSparseMatrix::Set would append them — so the
+/// estimate has exactly the bits of Set-then-estimate. A pair already
+/// stored in `base`, or already staged in either orientation, is skipped;
+/// with nothing staged the result is 0 without an estimate. `base` is never
+/// written, so any number of threads may call this on one matrix. Throws
+/// std::invalid_argument for a diagonal pair and std::out_of_range for an
+/// index outside [0, base->dim()), as Set does.
+///
+/// Online ETA's per-candidate estimate (Algorithm 1, lines 10 and 13), and
+/// Figure 3's (non-)submodularity probe against the sum of the Delta(e).
+double EdgeSetIncrement(const linalg::SymmetricSparseMatrix* base,
                         double base_lambda,
                         const ConnectivityEstimator& estimator,
                         const std::vector<std::pair<int, int>>& stop_pairs);
+
+/// Delta(e) for one prospective edge {u, v}: EdgeSetIncrement of {{u, v}}.
+double EdgeIncrement(const linalg::SymmetricSparseMatrix* base,
+                     double base_lambda, const ConnectivityEstimator& estimator,
+                     int u, int v);
 
 }  // namespace ctbus::connectivity
 

@@ -1,9 +1,10 @@
 #include "core/baselines.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "connectivity/edge_increment.h"
@@ -35,7 +36,10 @@ PlanResult RunVkTsp(const PlanningContext* context) {
 
 ConnectivityFirstResult RunConnectivityFirst(const PlanningContext* context,
                                              int l, int rescore_pool) {
-  assert(l >= 1);
+  if (l < 1) {
+    throw std::invalid_argument("RunConnectivityFirst: l must be >= 1, got " +
+                                std::to_string(l));
+  }
   const EdgeUniverse& universe = context->universe();
   ConnectivityFirstResult result;
 
@@ -79,6 +83,7 @@ ConnectivityFirstResult RunConnectivityFirst(const PlanningContext* context,
     taken[best_edge] = true;
     result.edges.push_back(best_edge);
   }
+  if (result.edges.empty()) return result;  // nothing to stitch
   result.connectivity_increment =
       estimator.Estimate(augmented) - base_lambda;
 

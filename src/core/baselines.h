@@ -48,6 +48,8 @@ struct ConnectivityFirstResult {
 /// Greedy augmentation of [22]: pick `l` discrete new edges one at a time,
 /// each maximizing the marginal connectivity increment. Marginal gains are
 /// re-estimated over the `rescore_pool` current best candidates per round.
+/// Throws std::invalid_argument if l < 1. With no candidate to pick the
+/// result is empty: no edges, increment 0, no components.
 ConnectivityFirstResult RunConnectivityFirst(const PlanningContext* context,
                                              int l, int rescore_pool = 48);
 

@@ -41,14 +41,11 @@ class EtaSearch {
                options_.k) {
     // Frontier evaluation forks only in kOnline mode, where each candidate
     // costs one Lanczos estimate; ETA-Pre's ranked-list lookups would be
-    // swamped by any synchronization. eta_threads <= 1 keeps today's
-    // serial loop with no pool and no evaluation units at all.
+    // swamped by any synchronization. eta_threads <= 1 keeps the serial
+    // loop with no pool at all.
     if (mode_ == SearchMode::kOnline) {
       const int threads = ResolveThreadCount(options_.eta_threads);
-      if (threads > 1) {
-        ctx_->ReserveOnlineEvalSlots(threads);
-        pool_ = std::make_unique<WorkerPool>(threads);
-      }
+      if (threads > 1) pool_ = std::make_unique<WorkerPool>(threads);
     }
   }
 
@@ -299,10 +296,10 @@ class EtaSearch {
   // `at_stop`, written into `objectives` with the connectivity increments
   // they were scored with in `increments` (and the extended paths into
   // `children`, when requested). With a pool (kOnline, eta_threads > 1)
-  // the evaluations fan out over stable worker-slot ids; each slot's
-  // evaluation unit is bit-identical to the shared serial path (see
-  // PlanningContext::OnlineConnectivityIncrementOnSlot), and every result
-  // lands in its own index, so the output does not depend on eta_threads.
+  // the evaluations fan out over its workers; each one only reads the
+  // context (PlanningContext::OnlineConnectivityIncrement), and every
+  // result lands in its own index, so the output does not depend on
+  // eta_threads.
   void EvaluateExtensions(const CandidatePath& path, int at_stop,
                           const std::vector<int>& extensions,
                           std::vector<CandidatePath>* children,
@@ -312,24 +309,21 @@ class EtaSearch {
     objectives->resize(n);
     increments->resize(n);
     if (children != nullptr) children->resize(n);
-    const auto evaluate_one = [&](int slot, int i) {
+    const auto evaluate_one = [&](int i) {
       CandidatePath extended = path;
       extended.Extend(ctx_->universe(), ctx_->transit(), extensions[i],
                       at_stop);
-      const double increment =
-          slot >= 0 ? ctx_->OnlineConnectivityIncrementOnSlot(
-                          slot, extended.edges())
-                    : Increment(extended);  // Line 10 on the shared scratch
+      const double increment = Increment(extended);  // Line 10
       (*increments)[i] = increment;
       (*objectives)[i] = ctx_->Objective(extended.demand(), increment);
       if (children != nullptr) (*children)[i] = std::move(extended);
     };
     if (pool_ != nullptr && n > 1) {
-      pool_->Run(n, [&](int shard, int begin, int end) {
-        for (int i = begin; i < end; ++i) evaluate_one(shard, i);
+      pool_->Run(n, [&](int /*shard*/, int begin, int end) {
+        for (int i = begin; i < end; ++i) evaluate_one(i);
       });
     } else {
-      for (int i = 0; i < n; ++i) evaluate_one(/*slot=*/-1, i);
+      for (int i = 0; i < n; ++i) evaluate_one(i);
     }
   }
 

@@ -13,9 +13,9 @@
 //  * kOnline (ETA): the connectivity increment of every evaluated extension
 //    is estimated on the spot with the shared Lanczos+Hutchinson estimator.
 //    With CtBusOptions::eta_threads > 1 the per-frontier estimates fan out
-//    over a persistent WorkerPool — one private scratch adjacency per
-//    worker slot, all sharing the immutable estimator, reduced in serial
-//    order — so results are bit-identical at any thread count.
+//    over a persistent WorkerPool — every worker reads the context's one
+//    immutable adjacency and estimator, and the results are reduced in
+//    serial order — so results are bit-identical at any thread count.
 //    Only this mode reads the Lemma 4 bound, so only this mode makes the
 //    context compute its top eigenvalues.
 //  * kPrecomputed (ETA-Pre): the objective is linear in the edges via the
@@ -61,13 +61,10 @@ struct PlanResult {
   std::vector<std::pair<int, double>> trace;
 };
 
-/// Runs the search over a prepared context. The context is mutated only
-/// through its scratch state — the shared scratch adjacency (restored
-/// after every estimate) and, in kOnline mode, the top eigenvalues
-/// computed on first use and (with eta_threads > 1) the lazily-built
-/// per-worker evaluation units — so a const context suffices,
-/// but one context must not serve two concurrent searches (the search owns
-/// the context's worker slots for its duration).
+/// Runs the search over a prepared context. The only context state it
+/// writes is kOnline's top eigenvalues, computed on first use — so a const
+/// context suffices, but one context must not serve two concurrent
+/// searches.
 PlanResult RunEta(const PlanningContext* context, SearchMode mode);
 
 }  // namespace ctbus::core

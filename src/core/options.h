@@ -62,11 +62,11 @@ struct CtBusOptions {
   /// dominant per-query cost of SearchMode::kOnline (ETA-Pre ranks
   /// neighbors by L_e and never forks). 1 = serial, exactly the classic
   /// loop; 0 or negative = hardware concurrency. Results are bit-identical
-  /// at any setting: worker slots share the immutable online estimator
-  /// (same pinned probes) and each lazily builds a private scratch
-  /// adjacency (see PlanningContext::OnlineConnectivityIncrementOnSlot),
-  /// and candidates are reduced in serial order (argmax, lowest index wins
-  /// ties). Like precompute_threads, this knob is therefore deliberately
+  /// at any setting: every worker reads the context's one immutable
+  /// adjacency and online estimator (same pinned probes; see
+  /// PlanningContext::OnlineConnectivityIncrement), and candidates are
+  /// reduced in serial order (argmax, lowest index wins ties). Like
+  /// precompute_threads, this knob is therefore deliberately
   /// NOT part of the serving layer's precompute cache key or batch key
   /// (service/precompute_cache.h).
   /// ctbus-lint: key-exempt(bit-identical at any thread count — keying would fragment the cache)

@@ -3,9 +3,10 @@
 // WorkerPool statically partitions [0, n) into min(num_threads, n)
 // contiguous shards and runs one worker per shard over *persistent*
 // threads. The partition depends only on (n, num_threads) — never on
-// scheduling — so a caller that gives every shard its own scratch state
-// (estimator, adjacency copy) and writes each result into its own slot
-// gets output that is bit-identical to a serial run, at any thread count.
+// scheduling — so a caller whose shards only read shared state (the
+// planners' adjacency and estimator are immutable) and write each result
+// into its own slot gets output that is bit-identical to a serial run, at
+// any thread count.
 // Persistence matters for loops that fork thousands of times with small n:
 // ETA's per-frontier candidate evaluation forks once per popped queue
 // entry, so paying a thread spawn per fork would drown the win.
@@ -45,10 +46,9 @@ inline int ResolveThreadCount(int requested) {
 /// shards: shard s covers [s*n/S, (s+1)*n/S) — every index exactly once,
 /// shards within 1 of equal size. The calling thread executes shard 0 and
 /// pool thread s-1 executes shard s, so shard ids are stable across Runs
-/// and a caller may key long-lived per-shard scratch state (scratch
-/// matrices) off them. Exceptions thrown by shards are
-/// captured; after every shard finished, the lowest shard id's exception
-/// is rethrown on the calling thread.
+/// and a caller may key long-lived per-shard state off them. Exceptions
+/// thrown by shards are captured; after every shard finished, the lowest
+/// shard id's exception is rethrown on the calling thread.
 ///
 /// Run is fork-join for ONE caller at a time: it must not be invoked
 /// concurrently from two threads, nor reentrantly from inside a body.

@@ -27,32 +27,6 @@ double EstimateBaseTrace(const linalg::SymmetricSparseMatrix& adjacency,
       .EstimateTraceExp(adjacency);
 }
 
-/// The add-estimate-restore cycle behind every online increment: stage the
-/// path's new edges into `scratch`, estimate, and remove them again. The
-/// staged entries always sit at the tails of their rows, so Remove's
-/// swap-with-last only ever shuffles staged entries among themselves and
-/// the pre-call row layout is restored exactly — which is what keeps
-/// evaluations bit-identical across the shared scratch and every
-/// per-worker copy (same layout -> same summation order).
-double EstimateIncrementWith(
-    const EdgeUniverse& universe,
-    const connectivity::ConnectivityEstimator& estimator,
-    linalg::SymmetricSparseMatrix* scratch, double base_lambda,
-    const std::vector<int>& path_edges) {
-  std::vector<std::pair<int, int>> added;
-  for (int e : path_edges) {
-    const PlannableEdge& edge = universe.edge(e);
-    if (!edge.is_new) continue;
-    if (scratch->Contains(edge.u, edge.v)) continue;
-    scratch->Set(edge.u, edge.v, 1.0);
-    added.emplace_back(edge.u, edge.v);
-  }
-  if (added.empty()) return 0.0;
-  const double lambda_after = estimator.Estimate(*scratch);
-  for (const auto& [u, v] : added) scratch->Remove(u, v);
-  return lambda_after - base_lambda;
-}
-
 /// True if both option sets pin the same estimator (same probes and
 /// quadrature).
 [[maybe_unused]] bool SameEstimator(const connectivity::EstimatorOptions& a,
@@ -216,11 +190,12 @@ PlanningContext PlanningContext::BuildWithPrecompute(
   ctx.precompute_ = std::move(precompute);
   const EdgeUniverse& universe = ctx.precompute_->universe;
 
-  // Shared estimator + base connectivity.
-  ctx.scratch_adjacency_ = transit.AdjacencyMatrix();
+  // Shared adjacency, estimator and base connectivity.
+  ctx.adjacency_ = std::make_shared<const linalg::SymmetricSparseMatrix>(
+      transit.AdjacencyMatrix());
   ctx.estimator_ = std::make_shared<const connectivity::ConnectivityEstimator>(
       transit.num_stops(), options.online_estimator);
-  ctx.base_lambda_ = ctx.estimator_->Estimate(ctx.scratch_adjacency_);
+  ctx.base_lambda_ = ctx.estimator_->Estimate(*ctx.adjacency_);
 
   // Ranked lists and Equation 12 normalization.
   ctx.demand_list_ =
@@ -246,7 +221,7 @@ PlanningContext PlanningContext::WithSearchOptions(
   ctx.transit_ = transit_;
   ctx.options_ = options;
   ctx.precompute_ = precompute_;
-  ctx.scratch_adjacency_ = scratch_adjacency_;
+  ctx.adjacency_ = adjacency_;
   ctx.estimator_ = estimator_;
   ctx.base_lambda_ = base_lambda_;
   ctx.demand_list_ = demand_list_;
@@ -275,7 +250,7 @@ const std::vector<double>& PlanningContext::top_eigenvalues() const {
     const int n = transit_->num_stops();
     linalg::Rng eig_rng(options_.online_estimator.seed ^ 0x9e3779b9ULL);
     top_eigenvalues_ =
-        linalg::TopEigenvalues(scratch_adjacency_, std::min(needed, n),
+        linalg::TopEigenvalues(*adjacency_, std::min(needed, n),
                                std::min(n, needed + 30), &eig_rng);
   }
   return top_eigenvalues_;
@@ -289,54 +264,20 @@ double PlanningContext::Objective(double demand,
 
 double PlanningContext::OnlineConnectivityIncrement(
     const std::vector<int>& path_edges) const {
-  return EstimateIncrementWith(precompute_->universe, *estimator_,
-                               &scratch_adjacency_, base_lambda_, path_edges);
-}
-
-double PlanningContext::OnlineConnectivityIncrementOnSlot(
-    int slot, const std::vector<int>& path_edges) const {
-  assert(slot >= 0 &&
-         slot < static_cast<int>(online_eval_units_.size()));
-  std::unique_ptr<OnlineEvalUnit>& unit = online_eval_units_[slot];
-  if (unit == nullptr) {
-    // First use of this slot: copy the base adjacency (same deterministic
-    // construction => same row layout). The estimator is immutable and
-    // shared by every slot.
-    unit = std::make_unique<OnlineEvalUnit>();
-    unit->scratch_adjacency = transit_->AdjacencyMatrix();
+  std::vector<std::pair<int, int>> new_pairs;
+  for (const int e : path_edges) {
+    const PlannableEdge& edge = precompute_->universe.edge(e);
+    if (edge.is_new) new_pairs.emplace_back(edge.u, edge.v);
   }
-  return EstimateIncrementWith(precompute_->universe, *estimator_,
-                               &unit->scratch_adjacency, base_lambda_,
-                               path_edges);
-}
-
-void PlanningContext::ReserveOnlineEvalSlots(int n) const {
-  if (n > static_cast<int>(online_eval_units_.size())) {
-    online_eval_units_.resize(n);
-  }
-}
-
-int PlanningContext::num_online_eval_units_built() const {
-  int built = 0;
-  for (const auto& unit : online_eval_units_) built += unit != nullptr;
-  return built;
+  return connectivity::EdgeSetIncrement(adjacency_.get(), base_lambda_,
+                                        *estimator_, new_pairs);
 }
 
 std::size_t PlanningContext::ApproxBytes() const {
-  std::size_t bytes = sizeof(PlanningContext) + precompute_->ApproxBytes() +
-                      demand_list_->ApproxBytes() +
-                      increment_list_->ApproxBytes() +
-                      objective_list_.ApproxBytes() +
-                      estimator_->ApproxBytes() +
-                      scratch_adjacency_.ApproxBytes() +
-                      top_eigenvalues_.size() * sizeof(double) +
-                      online_eval_units_.size() *
-                          sizeof(std::unique_ptr<OnlineEvalUnit>);
-  for (const auto& unit : online_eval_units_) {
-    if (unit == nullptr) continue;
-    bytes += sizeof(OnlineEvalUnit) + unit->scratch_adjacency.ApproxBytes();
-  }
-  return bytes;
+  return sizeof(PlanningContext) + precompute_->ApproxBytes() +
+         demand_list_->ApproxBytes() + increment_list_->ApproxBytes() +
+         objective_list_.ApproxBytes() + estimator_->ApproxBytes() +
+         adjacency_->ApproxBytes() + top_eigenvalues_.size() * sizeof(double);
 }
 
 double PlanningContext::LinearConnectivityIncrement(

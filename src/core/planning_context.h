@@ -5,12 +5,12 @@
 // bounds, and the Equation 12 normalization constants.
 //
 // A context build does only the work every answer reads: the base
-// estimate, the ranked lists and the normalization. The top eigenvalues
-// feed only online ETA's Lemma 4 bound, so they are computed on first use;
-// ETA-Pre and vk-TSP never pay for the eigen-solve. WithSearchOptions
-// derives a sibling for a different objective weight or edge restriction
-// (vk-TSP's w = 1, new-edges-only search): it shares every immutable part
-// and rebuilds only L_e.
+// adjacency and its estimate, the ranked lists and the normalization. The
+// top eigenvalues feed only online ETA's Lemma 4 bound, so they are
+// computed on first use; ETA-Pre and vk-TSP never pay for the eigen-solve.
+// WithSearchOptions derives a sibling for a different objective weight or
+// edge restriction (vk-TSP's w = 1, new-edges-only search): it shares every
+// immutable part, the adjacency included, and rebuilds only L_e.
 #ifndef CTBUS_CORE_PLANNING_CONTEXT_H_
 #define CTBUS_CORE_PLANNING_CONTEXT_H_
 
@@ -145,9 +145,9 @@ class PlanningContext {
   /// keeps the shared_ptr alive and reads the universe / increments in
   /// place. This is the hot path of the serving layer's cache hits: the
   /// Precompute is immutable, so any number of contexts (on any threads)
-  /// may share one instance; each context only adds mutable state of its
-  /// own (scratch adjacencies), which is what makes a *context*
-  /// single-threaded while the *precompute* is freely shared.
+  /// may share one instance. A context's only mutable state is its lazily
+  /// computed top eigenvalues, which is what keeps a *context* to one
+  /// search at a time while the *precompute* is freely shared.
   static PlanningContext BuildWithPrecompute(
       const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
       const CtBusOptions& options,
@@ -183,10 +183,9 @@ class PlanningContext {
   }
 
   /// Top eigenvalues of the base adjacency (descending), enough for the
-  /// Lemma 3/4 bounds at the configured k. Computed on first use from the
-  /// scratch adjacency, so it has the scratch adjacency's contract: const
-  /// but NOT thread-safe per context, and never called while an estimate
-  /// has path edges staged (the search thread calls it before forking).
+  /// Lemma 3/4 bounds at the configured k. Computed on first use, so const
+  /// but NOT thread-safe per context: the search thread calls it before
+  /// forking, and this is why one context serves one search at a time.
   const std::vector<double>& top_eigenvalues() const;
 
   const PrecomputeStats& precompute_stats() const {
@@ -194,31 +193,20 @@ class PlanningContext {
   }
 
   /// Approximate resident footprint in bytes of this context's own state
-  /// plus the (possibly shared) precompute it holds alive: ranked lists,
-  /// estimator probes, scratch adjacency, eigenvalues, and the precompute
+  /// plus the (possibly shared) parts it holds alive: ranked lists,
+  /// estimator probes, base adjacency, eigenvalues, and the precompute
   /// tables. Contexts sharing one precompute each report its bytes — the
   /// serving layer accounts the shared copy once, via the cache.
   std::size_t ApproxBytes() const;
-
-  /// Copies out this context's pre-computation for reuse in sibling
-  /// contexts (different k / w / Tn / sn over the same networks). Prefer
-  /// SharePrecompute when a copy is not required.
-  Precompute ExportPrecompute() const { return *precompute_; }
-
-  /// Shares this context's pre-computation without copying.
-  std::shared_ptr<const Precompute> SharePrecompute() const {
-    return precompute_;
-  }
 
   /// A sibling context for a search that differs from this one only in
   /// query-time options: w, new_edges_only, Tn, sn, the iteration cap and
   /// the Algorithm 1 variant toggles. `options` must keep this context's k
   /// and estimator options (asserted). The sibling shares the precompute,
-  /// the estimator, lambda(G_r), L_d, L_lambda, d_max and lambda_max,
-  /// copies the scratch adjacency (so it reads this context's scratch
-  /// state: same single-thread contract), and rebuilds only L_e
-  /// (Equation 11 weighs by w). Bit-identical to
-  /// BuildWithPrecompute(road(), transit(), options, SharePrecompute()).
+  /// the base adjacency, the estimator, lambda(G_r), L_d, L_lambda, d_max
+  /// and lambda_max, and rebuilds only L_e (Equation 11 weighs by w).
+  /// Bit-identical to BuildWithPrecompute(road(), transit(), options, p)
+  /// over this context's precompute p.
   PlanningContext WithSearchOptions(const CtBusOptions& options) const;
 
   /// Normalized objective (Equation 3) from raw demand and connectivity
@@ -227,38 +215,11 @@ class PlanningContext {
 
   /// Online connectivity increment of a path's *new* edges, evaluated with
   /// the shared estimator against the base network (the Lanczos call on
-  /// lines 10/13 of Algorithm 1). Const but NOT thread-safe per context:
-  /// it mutates and restores the internal scratch matrix, so concurrent
-  /// planners must each own a context (see service/planning_service.h).
+  /// lines 10/13 of Algorithm 1): connectivity::EdgeSetIncrement stages
+  /// them, in path order, in a read-only view of the base adjacency. Reads
+  /// only immutable state, so any number of threads may call it on one
+  /// context at once (ETA's frontier workers do).
   double OnlineConnectivityIncrement(const std::vector<int>& path_edges) const;
-
-  /// OnlineConnectivityIncrement evaluated on worker slot `slot`'s private
-  /// evaluation unit — a private scratch adjacency, constructed lazily on
-  /// the slot's first use — with the shared (immutable) estimator.
-  /// Bit-identical to OnlineConnectivityIncrement: Set/Remove cycles
-  /// restore the adjacency's row layout exactly, so every evaluation sees
-  /// the base layout plus its own path edges regardless of which unit
-  /// runs it. Distinct slots may
-  /// run concurrently (ETA's frontier workers key slots off stable
-  /// WorkerPool shard ids); a single slot must never be shared by two
-  /// threads at once. Requires ReserveOnlineEvalSlots(slot + 1) first.
-  double OnlineConnectivityIncrementOnSlot(
-      int slot, const std::vector<int>& path_edges) const;
-
-  /// Ensures evaluation slots [0, n) exist (units stay empty until first
-  /// use, so unused slots cost one null pointer). NOT thread-safe — call
-  /// from the search thread before forking workers. The units are
-  /// per-context scratch state like scratch_adjacency_: they never enter
-  /// the shared Precompute, which is why CtBusOptions::eta_threads stays
-  /// out of the precompute cache key (service/precompute_cache.h).
-  void ReserveOnlineEvalSlots(int n) const;
-
-  /// Slots currently reserved, and how many were actually materialized by
-  /// a first use. For tests and introspection.
-  int num_online_eval_slots() const {
-    return static_cast<int>(online_eval_units_.size());
-  }
-  int num_online_eval_units_built() const;
 
   /// Linearized connectivity increment: sum of Delta(e) over the path's
   /// edges (ETA-Pre's surrogate).
@@ -274,12 +235,6 @@ class PlanningContext {
   /// Builds L_e (Equation 11) from the shared lists and normalization.
   void BuildObjectiveList();
 
-  /// One worker slot's private online-evaluation state; see
-  /// OnlineConnectivityIncrementOnSlot.
-  struct OnlineEvalUnit {
-    linalg::SymmetricSparseMatrix scratch_adjacency;
-  };
-
   const graph::RoadNetwork* road_ = nullptr;
   const graph::TransitNetwork* transit_ = nullptr;
   CtBusOptions options_;
@@ -289,12 +244,9 @@ class PlanningContext {
   std::shared_ptr<const demand::RankedList> increment_list_;
   demand::RankedList objective_list_;
   std::shared_ptr<const connectivity::ConnectivityEstimator> estimator_;
-  mutable linalg::SymmetricSparseMatrix scratch_adjacency_;
-  /// Lazily-built per-worker evaluation units (indexed by worker slot).
-  /// The vector itself is only resized by ReserveOnlineEvalSlots; each
-  /// element is owned by exactly one worker slot, so concurrent slots
-  /// never race.
-  mutable std::vector<std::unique_ptr<OnlineEvalUnit>> online_eval_units_;
+  /// The base transit adjacency, built once per BuildWithPrecompute and
+  /// never written; siblings share it.
+  std::shared_ptr<const linalg::SymmetricSparseMatrix> adjacency_;
   double base_lambda_ = 0.0;
   /// Empty until top_eigenvalues() first runs the eigen-solve.
   mutable std::vector<double> top_eigenvalues_;

@@ -55,7 +55,10 @@ void LanczosExpQuadratureLanes(const MatVec& a,
                                const std::vector<double>* probes, int lanes,
                                int steps, double* out);
 
-/// LanczosExpQuadratureLanes for the single probe `v`.
+/// LanczosExpQuadratureLanes for the single probe `v`. No production path
+/// calls it; it stays as the one-lane reference that the lane kernels
+/// (the block quadrature, the edge-ball lanes) are tested against bit for
+/// bit.
 double LanczosExpQuadrature(const MatVec& a, const std::vector<double>& v,
                             int steps);
 

@@ -9,25 +9,22 @@
 namespace ctbus::linalg {
 namespace {
 
-// Always-on precondition check shared by Set/Add/Remove. These used to be
-// asserts, which compile out under NDEBUG: a release-mode Set(u, u, w)
-// stored a diagonal entry exactly once (breaking the store-twice
-// invariant), after which Remove(u, u) popped an unrelated entry and
-// num_entries() drifted — silent corruption that ends up inside cached
-// Precompute tables. The io/parse layers already throw on malformed
-// input; matrix mutation follows the same discipline.
-void ValidateOffDiagonal(const char* op, int u, int v, int dim) {
+// Always-on precondition check of Set. It used to be an assert, which
+// compiles out under NDEBUG: a release-mode Set(u, u, w) stored a diagonal
+// entry exactly once (breaking the store-twice invariant) and num_entries()
+// drifted — silent corruption that ends up inside cached Precompute
+// tables. The io/parse layers already throw on malformed input; matrix
+// mutation follows the same discipline.
+void ValidateOffDiagonal(int u, int v, int dim) {
   if (u == v) {
     throw std::invalid_argument(
-        std::string("SymmetricSparseMatrix::") + op + ": diagonal entry (" +
-        std::to_string(u) + ", " + std::to_string(v) +
-        ") violates the zero-diagonal invariant");
+        "SymmetricSparseMatrix::Set: diagonal entry (" + std::to_string(u) +
+        ", " + std::to_string(v) + ") violates the zero-diagonal invariant");
   }
   if (u < 0 || u >= dim || v < 0 || v >= dim) {
-    throw std::out_of_range(std::string("SymmetricSparseMatrix::") + op +
-                            ": index (" + std::to_string(u) + ", " +
-                            std::to_string(v) + ") outside [0, " +
-                            std::to_string(dim) + ")");
+    throw std::out_of_range("SymmetricSparseMatrix::Set: index (" +
+                            std::to_string(u) + ", " + std::to_string(v) +
+                            ") outside [0, " + std::to_string(dim) + ")");
   }
 }
 
@@ -42,7 +39,7 @@ int SymmetricSparseMatrix::FindInRow(int row, int col) const {
 }
 
 void SymmetricSparseMatrix::Set(int u, int v, double value) {
-  ValidateOffDiagonal("Set", u, v, dim());
+  ValidateOffDiagonal(u, v, dim());
   const int iu = FindInRow(u, v);
   if (iu >= 0) {
     rows_[u][iu].value = value;
@@ -52,30 +49,6 @@ void SymmetricSparseMatrix::Set(int u, int v, double value) {
   rows_[u].push_back({v, value});
   rows_[v].push_back({u, value});
   ++num_entries_;
-}
-
-void SymmetricSparseMatrix::Add(int u, int v, double delta) {
-  ValidateOffDiagonal("Add", u, v, dim());
-  const int iu = FindInRow(u, v);
-  if (iu < 0) {
-    Set(u, v, delta);
-    return;
-  }
-  rows_[u][iu].value += delta;
-  rows_[v][FindInRow(v, u)].value += delta;
-}
-
-bool SymmetricSparseMatrix::Remove(int u, int v) {
-  ValidateOffDiagonal("Remove", u, v, dim());
-  const int iu = FindInRow(u, v);
-  if (iu < 0) return false;
-  rows_[u][iu] = rows_[u].back();
-  rows_[u].pop_back();
-  const int iv = FindInRow(v, u);
-  rows_[v][iv] = rows_[v].back();
-  rows_[v].pop_back();
-  --num_entries_;
-  return true;
 }
 
 double SymmetricSparseMatrix::At(int u, int v) const {

@@ -1,9 +1,12 @@
 // Symmetric sparse matrix stored as per-row adjacency lists.
 //
-// This is the adjacency-matrix representation used for transit networks: the
-// CT-Bus search adds and removes candidate edges thousands of times, so the
-// storage is optimized for O(deg) edge insertion/removal plus fast
-// matrix-vector products, rather than for a frozen CSR layout.
+// This is the adjacency-matrix representation used for transit networks. It
+// is built once per network by Set (TransitNetwork::AdjacencyMatrix) and
+// then only read: the planners estimate candidate edges against read-only
+// views that add them on top (connectivity/edge_increment.h) and never
+// write the matrix. Set appends a new entry at its row's tail and products
+// sum each row in stored order, which is what lets such a view reproduce
+// Set-then-multiply bit for bit.
 #ifndef CTBUS_LINALG_SPARSE_MATRIX_H_
 #define CTBUS_LINALG_SPARSE_MATRIX_H_
 
@@ -32,22 +35,14 @@ class SymmetricSparseMatrix : public MatVec {
   /// Number of stored symmetric entries (each off-diagonal pair counts once).
   std::int64_t num_entries() const { return num_entries_; }
 
-  /// Sets A[u][v] = A[v][u] = value. Overwrites an existing entry.
-  /// Throws std::invalid_argument if u == v (a diagonal entry would
-  /// silently break the zero-diagonal invariant that Remove and
-  /// num_entries() rely on) and std::out_of_range if either index is
-  /// outside [0, dim()). Validation is always on — asserts compile out in
-  /// release builds, and a corrupted matrix poisons every cached
-  /// Precompute table built from it.
+  /// Sets A[u][v] = A[v][u] = value. Overwrites an existing entry; a new
+  /// entry goes to the tail of rows u and v. Throws std::invalid_argument
+  /// if u == v (a diagonal entry would silently break the zero-diagonal
+  /// invariant that num_entries() relies on) and std::out_of_range if
+  /// either index is outside [0, dim()). Validation is always on —
+  /// asserts compile out in release builds, and a corrupted matrix poisons
+  /// every cached Precompute table built from it.
   void Set(int u, int v, double value);
-
-  /// Adds `delta` to A[u][v] (creating the entry if absent). Same
-  /// always-on precondition validation as Set.
-  void Add(int u, int v, double delta);
-
-  /// Removes the (u, v) entry if present; returns true if it existed.
-  /// Same always-on precondition validation as Set.
-  bool Remove(int u, int v);
 
   /// Returns A[u][v] (0.0 if no stored entry).
   double At(int u, int v) const;

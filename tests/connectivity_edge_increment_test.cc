@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -108,28 +109,12 @@ TEST(EdgeIncrementTest, TracksExactIncrement) {
   for (int trial = 0; trial < 5; ++trial) {
     const auto [u, v] = FindAbsentEdge(a, &rng);
     const double inc_est = EdgeIncrement(&a, base_est, est, u, v);
-    a.Set(u, v, 1.0);
-    const double inc_exact = NaturalConnectivityExact(a) - base_exact;
-    a.Remove(u, v);
+    linalg::SymmetricSparseMatrix with_edge = a;
+    with_edge.Set(u, v, 1.0);
+    const double inc_exact = NaturalConnectivityExact(with_edge) - base_exact;
     // A stochastic estimate of a ~1e-2 increment: demand the right sign and
     // the right order of magnitude.
     EXPECT_NEAR(inc_est, inc_exact, 0.8 * inc_exact + 5e-3);
-  }
-}
-
-TEST(EdgeIncrementTest, BatchMatchesIndividualCalls) {
-  linalg::Rng rng(5);
-  auto a = RandomGraph(40, 3.0, &rng);
-  std::vector<std::pair<int, int>> pairs;
-  for (int i = 0; i < 6; ++i) pairs.push_back(FindAbsentEdge(a, &rng));
-  const ConnectivityEstimator est(a.dim(), TestOptions());
-  const double base = est.Estimate(a);
-  const auto batch = ComputeEdgeIncrements(&a, est, pairs);
-  ASSERT_EQ(batch.size(), pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i],
-                     EdgeIncrement(&a, base, est, pairs[i].first,
-                                   pairs[i].second));
   }
 }
 
@@ -182,6 +167,62 @@ TEST(EdgeIncrementTest, NearAdditivityForSmallSets) {
   EXPECT_NEAR(joint, sum, 0.5 * std::max(joint, sum));
 }
 
+TEST(EdgeIncrementTest, RejectsDiagonalAndOutOfRangePairs) {
+  linalg::Rng rng(9);
+  auto a = RandomGraph(20, 3.0, &rng);
+  const ConnectivityEstimator est(a.dim(), TestOptions());
+  const double base = est.Estimate(a);
+  EXPECT_THROW(EdgeIncrement(&a, base, est, 4, 4), std::invalid_argument);
+  EXPECT_THROW(EdgeIncrement(&a, base, est, 0, 20), std::out_of_range);
+  EXPECT_THROW(EdgeSetIncrement(&a, base, est, {{0, 1}, {-1, 2}}),
+               std::out_of_range);
+}
+
+// Hex-float pins of the Hutchinson differencing on a fixed 48-node graph,
+// written when the increments were estimated by Set / estimate / Remove on
+// the matrix itself: staging the edges in a read-only view must keep every
+// bit.
+class EdgeIncrementPinnedTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    linalg::Rng rng(31);
+    a_ = RandomGraph(48, 3.0, &rng);
+    base_ = estimator_.Estimate(a_);
+  }
+
+  linalg::SymmetricSparseMatrix a_;
+  const ConnectivityEstimator estimator_{48, TestOptions()};
+  double base_ = 0.0;
+};
+
+TEST_F(EdgeIncrementPinnedTest, SinglePairs) {
+  struct Pin {
+    int u;
+    int v;
+    double increment;
+  };
+  for (const Pin& pin : {Pin{0, 1, 0x1.410966ad1f76p-5},
+                         Pin{3, 7, 0x1.75233e1302fp-6},
+                         Pin{2, 6, 0x1.d8b51aa17f7p-7}}) {
+    ASSERT_FALSE(a_.Contains(pin.u, pin.v));
+    EXPECT_EQ(EdgeIncrement(&a_, base_, estimator_, pin.u, pin.v),
+              pin.increment)
+        << pin.u << "-" << pin.v;
+  }
+}
+
+TEST_F(EdgeIncrementPinnedTest, SetWithExistingRepeatedReversedAndSharedEnds) {
+  // {0, 23} is stored, {0, 1} comes again as itself and reversed, and
+  // {3, 5} / {3, 6} share stop 3: three edges are staged, in this order.
+  ASSERT_TRUE(a_.Contains(0, 23));
+  ASSERT_FALSE(a_.Contains(0, 1));
+  ASSERT_FALSE(a_.Contains(3, 5));
+  ASSERT_FALSE(a_.Contains(3, 6));
+  EXPECT_EQ(EdgeSetIncrement(&a_, base_, estimator_,
+                             {{0, 1}, {0, 23}, {3, 5}, {0, 1}, {1, 0}, {3, 6}}),
+            0x1.ed55fe3d0cep-5);
+}
+
 // ------------------------------------------ ball quadrature vs oracles ----
 
 struct GridFixture {
@@ -222,11 +263,11 @@ void ExpectLanesMatchFullSupport(
     const linalg::SymmetricSparseMatrix& a,
     const std::vector<std::pair<int, int>>& pairs) {
   ASSERT_FALSE(pairs.empty());
-  linalg::SymmetricSparseMatrix full = a;
   for (const auto& [u, v] : pairs) {
     double lanes[2 * kEdgeTraceNodes];
     EdgeTraceQuadratures(a, u, v, lanes);
     for (int i = 0; i < kEdgeTraceNodes; ++i) {
+      linalg::SymmetricSparseMatrix full = a;
       full.Set(u, v, kEdgeTraceNode[i]);
       for (int sign = 0; sign < 2; ++sign) {
         std::vector<double> probe(a.dim(), 0.0);
@@ -237,7 +278,6 @@ void ExpectLanesMatchFullSupport(
                                                kEdgeTraceLanczosSteps))
             << "edge " << u << "-" << v << " node " << i << " sign " << sign;
       }
-      full.Remove(u, v);
     }
   }
 }
@@ -269,17 +309,17 @@ double ExactTraceExp(const linalg::SymmetricSparseMatrix& a) {
 
 /// Quadrature Delta(e) over the exact base trace against the dense
 /// oracle lambda(A + e) - lambda(A), within 1e-3 relative.
-void ExpectMatchesDenseOracle(linalg::SymmetricSparseMatrix* a,
+void ExpectMatchesDenseOracle(const linalg::SymmetricSparseMatrix& a,
                               const std::vector<std::pair<int, int>>& pairs) {
   ASSERT_FALSE(pairs.empty());
-  const double base_trace = ExactTraceExp(*a);
-  const double base_lambda = NaturalConnectivityExact(*a);
+  const double base_trace = ExactTraceExp(a);
+  const double base_lambda = NaturalConnectivityExact(a);
   for (const auto& [u, v] : pairs) {
     const double quadrature =
-        IncrementFromTrace(EdgeTraceIncrement(*a, u, v), base_trace);
-    a->Set(u, v, 1.0);
-    const double exact = NaturalConnectivityExact(*a) - base_lambda;
-    a->Remove(u, v);
+        IncrementFromTrace(EdgeTraceIncrement(a, u, v), base_trace);
+    linalg::SymmetricSparseMatrix with_edge = a;
+    with_edge.Set(u, v, 1.0);
+    const double exact = NaturalConnectivityExact(with_edge) - base_lambda;
     ASSERT_GT(exact, 0.0);
     EXPECT_NEAR(quadrature, exact, 1e-3 * exact)
         << "edge " << u << "-" << v;
@@ -291,14 +331,14 @@ TEST(EdgeTraceIncrementTest, MatchesDenseOracleOnFixedGraph) {
   auto a = RandomGraph(60, 3.0, &rng);
   std::vector<std::pair<int, int>> pairs;
   for (int i = 0; i < 12; ++i) pairs.push_back(FindAbsentEdge(a, &rng));
-  ExpectMatchesDenseOracle(&a, pairs);
+  ExpectMatchesDenseOracle(a, pairs);
 }
 
 TEST(EdgeTraceIncrementTest, MatchesDenseOracleOnGrid) {
   const GridFixture grid = LoadGrid();
-  auto a = grid.transit.AdjacencyMatrix();
   ExpectMatchesDenseOracle(
-      &a, CandidatePairs(grid.road, grid.transit, 900.0, /*stride=*/1));
+      grid.transit.AdjacencyMatrix(),
+      CandidatePairs(grid.road, grid.transit, 900.0, /*stride=*/1));
 }
 
 TEST(EdgeTraceIncrementTest, ExistingEdgeHasZeroTraceIncrement) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+#include <vector>
+
 #include "gen/datasets.h"
 
 namespace ctbus::core {
@@ -104,6 +108,26 @@ TEST_F(BaselinesTest, ConnectivityFirstSingleEdge) {
   ASSERT_EQ(result.edges.size(), 1u);
   EXPECT_EQ(result.num_components, 1);
   EXPECT_DOUBLE_EQ(result.stitch_gap_meters, 0.0);
+}
+
+TEST_F(BaselinesTest, ConnectivityFirstRejectsNonPositiveCount) {
+  // l = 0 once indexed the first chosen edge of an empty pick.
+  EXPECT_THROW(RunConnectivityFirst(context_, 0, 10), std::invalid_argument);
+  EXPECT_THROW(RunConnectivityFirst(context_, -1), std::invalid_argument);
+}
+
+TEST(ConnectivityFirstPinnedTest, ChicagoPicksAndIncrement) {
+  // Written when the marginal gains were estimated by Set / estimate /
+  // Remove on the growing matrix; the staged-edge view keeps every bit.
+  const gen::Dataset city = gen::MakeChicagoLike(0.2);
+  const PlanningContext ctx =
+      PlanningContext::Build(city.road, city.transit, FastOptions());
+  const auto result = RunConnectivityFirst(&ctx, 6);
+  EXPECT_EQ(result.edges, (std::vector<int>{361, 368, 362, 354, 117, 360}));
+  EXPECT_EQ(result.connectivity_increment, 0x1.e7cbd66de81c8p-3);
+  EXPECT_EQ(result.num_components, 1);
+  EXPECT_EQ(result.max_stop_degree, 4);
+  EXPECT_EQ(result.stitch_gap_meters, 0x1.03cb7b4f439bp+10);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // The determinism contract of parallel frontier expansion: RunEta in
 // SearchMode::kOnline must produce bit-identical results at any
 // CtBusOptions::eta_threads setting, for both expansion variants
-// (best-neighbor and ETA-AN). Each worker slot estimates through the
-// context's shared immutable estimator on a private scratch adjacency,
-// and the candidate reduce replays the serial scan order, so threading
-// must not move a single bit (see core/eta.h and docs/ARCHITECTURE.md).
+// (best-neighbor and ETA-AN). Every worker estimates through the context's
+// one immutable adjacency and estimator, and the candidate reduce replays
+// the serial scan order, so threading must not move a single bit (see
+// core/eta.h and docs/ARCHITECTURE.md).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -31,8 +31,8 @@ CtBusOptions TestOptions(bool best_neighbor_only) {
   return options;
 }
 
-/// Exact equality on purpose, doubles included: per-slot evaluation units
-/// must reproduce the shared serial scratch to the last bit.
+/// Exact equality on purpose, doubles included: concurrent evaluations
+/// must reproduce the serial ones to the last bit.
 void ExpectResultsIdentical(const PlanResult& a, const PlanResult& b,
                             int threads) {
   ASSERT_EQ(a.found, b.found) << "threads=" << threads;
@@ -46,12 +46,10 @@ void ExpectResultsIdentical(const PlanResult& a, const PlanResult& b,
   EXPECT_EQ(a.trace, b.trace) << "threads=" << threads;
 }
 
-/// A plan plus the context's worker-slot bookkeeping (the context itself
-/// does not outlive the run; its default constructor is private).
+/// A plan (the context itself does not outlive the run; its default
+/// constructor is private).
 struct RunOutcome {
   PlanResult result;
-  int slots_reserved = 0;
-  int units_built = 0;
 };
 
 class EtaParallelTest : public ::testing::TestWithParam<bool> {
@@ -79,8 +77,6 @@ class EtaParallelTest : public ::testing::TestWithParam<bool> {
         dataset_->road, dataset_->transit, options, *precompute_);
     RunOutcome out;
     out.result = RunEta(&ctx, mode);
-    out.slots_reserved = ctx.num_online_eval_slots();
-    out.units_built = ctx.num_online_eval_units_built();
     return out;
   }
 
@@ -95,16 +91,10 @@ TEST_P(EtaParallelTest, AnyThreadCountIsBitIdenticalToSerial) {
   const CtBusOptions options = TestOptions(GetParam());
   const RunOutcome serial = Run(options, /*eta_threads=*/1);
   ASSERT_TRUE(serial.result.found);
-  // The serial fast path must not even reserve worker slots.
-  EXPECT_EQ(serial.slots_reserved, 0);
 
   for (int threads : {2, 3, 8}) {
     const RunOutcome parallel = Run(options, threads);
     ExpectResultsIdentical(parallel.result, serial.result, threads);
-    EXPECT_EQ(parallel.slots_reserved, threads);
-    // The frontier fan-out really ran: the caller's slot and at least one
-    // pool thread's slot were materialized by first use.
-    EXPECT_GE(parallel.units_built, 2) << "threads=" << threads;
   }
 }
 
@@ -139,14 +129,12 @@ TEST_P(EtaParallelTest, ReportedIncrementIsTheWinnersOnlineEstimate) {
 
 TEST_P(EtaParallelTest, PrecomputedModeNeverForks) {
   // ETA-Pre evaluates ranked-list lookups; eta_threads must be inert
-  // there (no slots reserved, identical results).
+  // there (identical results).
   const CtBusOptions options = TestOptions(GetParam());
   const RunOutcome serial = Run(options, /*eta_threads=*/1,
                                 SearchMode::kPrecomputed);
   const RunOutcome parallel = Run(options, /*eta_threads=*/8,
                                   SearchMode::kPrecomputed);
-  EXPECT_EQ(parallel.slots_reserved, 0);
-  EXPECT_EQ(parallel.units_built, 0);
   ExpectResultsIdentical(parallel.result, serial.result, /*threads=*/8);
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "connectivity/natural_connectivity.h"
 #include "gen/datasets.h"
 
@@ -129,6 +133,55 @@ TEST_F(PlanningContextTest, OnlineIncrementRestoresScratchState) {
   const double first = context_->OnlineConnectivityIncrement(new_edges);
   const double second = context_->OnlineConnectivityIncrement(new_edges);
   EXPECT_DOUBLE_EQ(first, second);
+}
+
+TEST_F(PlanningContextTest, ConcurrentOnlineIncrementsMatchSerialBits) {
+  // The context's adjacency is immutable and every call stages its edges in
+  // a view of its own, so threads may evaluate on one context at once.
+  std::vector<int> new_edges;
+  int existing = -1;
+  for (int e = 0; e < context_->universe().num_edges(); ++e) {
+    if (context_->universe().edge(e).is_new) {
+      new_edges.push_back(e);
+    } else if (existing < 0) {
+      existing = e;
+    }
+  }
+  ASSERT_GE(new_edges.size(), 8u);
+  ASSERT_GE(existing, 0);
+  std::vector<std::vector<int>> paths;
+  for (std::size_t i = 0; i + 4 <= new_edges.size() && paths.size() < 24;
+       i += 2) {
+    const std::size_t size = 1 + i % 4;
+    std::vector<int> path(new_edges.begin() + i,
+                          new_edges.begin() + i + size);
+    if (i % 3 == 0) path.push_back(existing);
+    paths.push_back(std::move(path));
+  }
+  std::vector<double> serial;
+  for (const auto& path : paths) {
+    serial.push_back(context_->OnlineConnectivityIncrement(path));
+  }
+
+  constexpr int kThreads = 8;
+  std::vector<std::vector<double>> concurrent(
+      kThreads, std::vector<double>(paths.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the paths from its own offset.
+      for (std::size_t k = 0; k < paths.size(); ++k) {
+        const std::size_t i = (k + 3 * t) % paths.size();
+        concurrent[t][i] = context_->OnlineConnectivityIncrement(paths[i]);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      EXPECT_EQ(concurrent[t][i], serial[i]) << "thread " << t << " path " << i;
+    }
+  }
 }
 
 TEST_F(PlanningContextTest, LinearIncrementSumsPrecomputedValues) {

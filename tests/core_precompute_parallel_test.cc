@@ -35,11 +35,7 @@ void ExpectUniversesIdentical(const EdgeUniverse& a, const EdgeUniverse& b) {
   }
 }
 
-// A single-instance parameterized suite: it once ran a second Delta(e)
-// path, and keeps its instance name so the test ids stay stable.
-class PrecomputeParallelTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(PrecomputeParallelTest, AnyThreadCountIsBitIdenticalToSerial) {
+TEST(PrecomputeParallelTest, AnyThreadCountIsBitIdenticalToSerial) {
   const gen::Dataset d = gen::MakeMidtown();
   CtBusOptions options = TestOptions();
 
@@ -69,7 +65,7 @@ TEST_P(PrecomputeParallelTest, AnyThreadCountIsBitIdenticalToSerial) {
   }
 }
 
-TEST_P(PrecomputeParallelTest, HardwareConcurrencySettingRuns) {
+TEST(PrecomputeParallelTest, HardwareConcurrencySettingRuns) {
   const gen::Dataset d = gen::MakeMidtown();
   CtBusOptions options = TestOptions();
   options.precompute_threads = 1;
@@ -81,12 +77,6 @@ TEST_P(PrecomputeParallelTest, HardwareConcurrencySettingRuns) {
   EXPECT_EQ(hw.increments, serial.increments);
   EXPECT_GE(hw.stats.threads_used, 1);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothEstimatorPaths, PrecomputeParallelTest,
-                         ::testing::Values(false),
-                         [](const ::testing::TestParamInfo<bool>&) {
-                           return "Stochastic";
-                         });
 
 }  // namespace
 }  // namespace ctbus::core

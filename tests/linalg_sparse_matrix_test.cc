@@ -33,28 +33,20 @@ TEST(SparseMatrixTest, SetOverwrites) {
   EXPECT_EQ(m.num_entries(), 1);
 }
 
-TEST(SparseMatrixTest, AddCreatesAndAccumulates) {
-  SymmetricSparseMatrix m(3);
-  m.Add(0, 1, 1.5);
-  m.Add(0, 1, 1.5);
-  EXPECT_DOUBLE_EQ(m.At(1, 0), 3.0);
-  EXPECT_EQ(m.num_entries(), 1);
-}
-
-TEST(SparseMatrixTest, RemoveExistingEntry) {
-  SymmetricSparseMatrix m(3);
+TEST(SparseMatrixTest, SetAppendsNewEntriesAtRowTails) {
+  // The staged-edge views of connectivity/edge_increment.cc rely on it:
+  // a new entry goes last in both rows, an overwrite stays in place.
+  SymmetricSparseMatrix m(4);
+  m.Set(0, 2, 1.0);
+  m.Set(3, 0, 1.0);
   m.Set(0, 1, 1.0);
-  m.Set(1, 2, 2.0);
-  EXPECT_TRUE(m.Remove(0, 1));
-  EXPECT_FALSE(m.Contains(0, 1));
-  EXPECT_FALSE(m.Contains(1, 0));
-  EXPECT_DOUBLE_EQ(m.At(1, 2), 2.0);
-  EXPECT_EQ(m.num_entries(), 1);
-}
-
-TEST(SparseMatrixTest, RemoveMissingEntryReturnsFalse) {
-  SymmetricSparseMatrix m(3);
-  EXPECT_FALSE(m.Remove(0, 1));
+  m.Set(2, 0, 4.0);
+  ASSERT_EQ(m.RowDegree(0), 3);
+  EXPECT_EQ(m.Row(0)[0].col, 2);
+  EXPECT_DOUBLE_EQ(m.Row(0)[0].value, 4.0);
+  EXPECT_EQ(m.Row(0)[1].col, 3);
+  EXPECT_EQ(m.Row(0)[2].col, 1);
+  EXPECT_EQ(m.Row(3)[0].col, 0);
 }
 
 TEST(SparseMatrixTest, AtMissingIsZero) {
@@ -143,8 +135,6 @@ TEST(SparseMatrixTest, RejectsDiagonalEntriesInAnyBuildMode) {
   // passes in every build mode.
   SymmetricSparseMatrix m(4);
   EXPECT_THROW(m.Set(2, 2, 1.0), std::invalid_argument);
-  EXPECT_THROW(m.Add(0, 0, 1.0), std::invalid_argument);
-  EXPECT_THROW(m.Remove(3, 3), std::invalid_argument);
   EXPECT_EQ(m.num_entries(), 0u);
 }
 
@@ -152,8 +142,6 @@ TEST(SparseMatrixTest, RejectsOutOfRangeIndices) {
   SymmetricSparseMatrix m(4);
   EXPECT_THROW(m.Set(0, 4, 1.0), std::out_of_range);
   EXPECT_THROW(m.Set(-1, 2, 1.0), std::out_of_range);
-  EXPECT_THROW(m.Add(4, 0, 1.0), std::out_of_range);
-  EXPECT_THROW(m.Remove(0, 7), std::out_of_range);
   EXPECT_EQ(m.num_entries(), 0u);
   // A failed mutation must leave prior state untouched.
   m.Set(0, 1, 2.0);

@@ -175,11 +175,7 @@ TEST(SnapshotDeltaTest, CommitRecordsLineageAndEdgeDiff) {
   EXPECT_FALSE(store.DeltaBetween(99, 2).has_value());
 }
 
-// A single-instance parameterized suite: it once ran a second Delta(e)
-// path, and keeps its instance name so the test ids stay stable.
-class WarmStartTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(WarmStartTest, DerivedMatchesFromScratchAfterOneCommit) {
+TEST(WarmStartTest, DerivedMatchesFromScratchAfterOneCommit) {
   gen::Dataset d = gen::MakeMidtown();
   const int num_stops = d.transit.num_stops();
   SnapshotStore store(std::move(d.road), std::move(d.transit));
@@ -258,7 +254,7 @@ TEST(WarmStartRebaseTest, CarriedValuesAreTheRebasedDonorValues) {
   EXPECT_GT(recomputed, 0);
 }
 
-TEST_P(WarmStartTest, StackedCommitsDeriveDirectlyAndThroughTheChain) {
+TEST(WarmStartTest, StackedCommitsDeriveDirectlyAndThroughTheChain) {
   gen::Dataset d = gen::MakeMidtown();
   const int num_stops = d.transit.num_stops();
   SnapshotStore store(std::move(d.road), std::move(d.transit));
@@ -298,12 +294,6 @@ TEST_P(WarmStartTest, StackedCommitsDeriveDirectlyAndThroughTheChain) {
   ExpectUniversesIdentical(chained.universe, scratch3.universe, num_stops);
   ExpectIncrementsMatch(chained, scratch3, v3.delta_from_parent);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothEstimatorPaths, WarmStartTest,
-                         ::testing::Values(false),
-                         [](const ::testing::TestParamInfo<bool>&) {
-                           return "Stochastic";
-                         });
 
 TEST(ServiceWarmStartTest, CommitThenLatestPlanDerivesInsteadOfRecomputing) {
   ServiceOptions service_options;
