@@ -5,7 +5,10 @@
 //   1. pool scaling   — queries/sec per worker-pool size
 //   2. batching       — same-key sweep backlog drained with batching
 //                       on vs off (one precompute resolution per batch
-//                       vs one cache lookup per request)
+//                       vs one cache lookup per request), and the largest
+//                       batch again on 2 workers (members handed back
+//                       after the leader's resolution), CPU time beside
+//                       wall time
 //   3. sharding       — two datasets served by one shared shard's worth
 //                       of traffic vs per-dataset shards, plus proof that
 //                       a saturated hot shard cannot starve a cold one
@@ -33,6 +36,7 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -133,13 +137,15 @@ double MeasureThroughput(const ctbus::gen::Dataset& city, int num_threads,
 }
 
 /// Drains a pre-queued same-key sweep backlog with the given batch limit
-/// (1 = batching off) through one worker and a COLD, DISABLED cache, so
-/// every precompute the service runs is real work. Returns queries/sec.
+/// (1 = batching off) through `num_threads` workers and a COLD, DISABLED
+/// cache, so every precompute the service runs is real work. Returns
+/// queries/sec; `cpu_seconds` gets the process CPU time of the drain.
 double MeasureBatching(const ctbus::gen::Dataset& city,
-                       std::size_t max_batch_size, int num_requests,
-                       double* check_sum, std::uint64_t* batches) {
+                       std::size_t max_batch_size, int num_threads,
+                       int num_requests, double* check_sum,
+                       std::uint64_t* batches, double* cpu_seconds) {
   ServiceOptions service_options;
-  service_options.num_threads = 1;
+  service_options.num_threads = num_threads;
   service_options.cache_capacity = 0;  // only batching can amortize
   service_options.max_batch_size = max_batch_size;
   service_options.start_paused = true;
@@ -152,6 +158,7 @@ double MeasureBatching(const ctbus::gen::Dataset& city,
   for (int i = 0; i < num_requests; ++i) {
     futures.push_back(service.Submit(MakeRequest(city.name, Priority::kSweep)));
   }
+  const double cpu_start = ctbus::bench::ProcessCpuSeconds();
   ctbus::bench::Stopwatch timer;
   service.Start();
   double sum = 0.0;
@@ -159,8 +166,9 @@ double MeasureBatching(const ctbus::gen::Dataset& city,
     sum += future.get().plan.objective;
   }
   const double seconds = timer.Seconds();
-  if (check_sum != nullptr) *check_sum = sum;
-  if (batches != nullptr) *batches = service.service_stats().batches;
+  *cpu_seconds = ctbus::bench::ProcessCpuSeconds() - cpu_start;
+  *check_sum = sum;
+  *batches = service.service_stats().batches;
   return num_requests / seconds;
 }
 
@@ -295,25 +303,35 @@ int main() {
   // ---- 2. batching -----------------------------------------------------
   // Cold, disabled cache: without batching every request pays a full
   // precompute; with batching one resolution feeds each same-key batch.
+  // The 2-worker row hands the batch's members back to both workers once
+  // the leader has resolved; CPU / wall is the parallelism it achieved.
   std::printf("\n-- batching (same-key sweep backlog, cache disabled) --\n");
-  std::printf("%10s %12s %10s %8s %10s\n", "batch max", "queries/s",
-              "speedup", "batches", "checksum");
+  std::printf("%10s %8s %12s %10s %8s %8s %8s %10s\n", "batch max",
+              "workers", "queries/s", "speedup", "cpu s", "cpu/wall",
+              "batches", "checksum");
   const int batch_requests = std::min(num_requests, 12);
   double unbatched_qps = 0.0;
-  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{4},
-                                      std::size_t{12}}) {
+  const std::pair<std::size_t, int> batching_rows[] = {
+      {1, 1}, {4, 1}, {12, 1}, {12, 2}};
+  for (const auto& [max_batch, workers] : batching_rows) {
     double check_sum = 0.0;
     std::uint64_t batches = 0;
-    const double qps = MeasureBatching(city, max_batch, batch_requests,
-                                       &check_sum, &batches);
+    double cpu_seconds = 0.0;
+    const double qps =
+        MeasureBatching(city, max_batch, workers, batch_requests, &check_sum,
+                        &batches, &cpu_seconds);
     if (max_batch == 1) unbatched_qps = qps;
-    std::printf("%10zu %12.2f %9.2fx %8llu %10.4f\n", max_batch, qps,
-                unbatched_qps > 0.0 ? qps / unbatched_qps : 1.0,
+    const double wall_seconds = batch_requests / qps;
+    std::printf("%10zu %8d %12.2f %9.2fx %8.3f %7.2fx %8llu %10.4f\n",
+                max_batch, workers, qps,
+                unbatched_qps > 0.0 ? qps / unbatched_qps : 1.0, cpu_seconds,
+                cpu_seconds / wall_seconds,
                 static_cast<unsigned long long>(batches), check_sum);
-    report.AddMetric("batching_qps_max_" + std::to_string(max_batch), qps,
-                     "higher");
-    report.AddChecksum("batching_max_" + std::to_string(max_batch),
-                       check_sum);
+    const std::string suffix =
+        std::to_string(max_batch) +
+        (workers > 1 ? "_workers_" + std::to_string(workers) : "");
+    report.AddMetric("batching_qps_max_" + suffix, qps, "higher");
+    report.AddChecksum("batching_max_" + suffix, check_sum);
   }
 
   // ---- 3. sharding -----------------------------------------------------

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -35,6 +36,12 @@ namespace ctbus::bench {
 /// The bench suite's stopwatch is the repo-wide one (core/timing.h) — the
 /// same type the serving layer and the obs span recorder time with.
 using core::Stopwatch;
+
+/// CPU seconds used so far by every thread of this process. Printed beside
+/// wall time, CPU / wall is a section's achieved parallelism.
+inline double ProcessCpuSeconds() {
+  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+}
 
 /// Strict env parsing: the whole value must parse (io::ParseDouble), so
 /// "1.5x" or "fast" fall back to the default with a warning instead of

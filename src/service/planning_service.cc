@@ -1,6 +1,7 @@
 #include "service/planning_service.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -233,7 +234,7 @@ std::future<ServiceResult> PlanningService::Submit(PlanRequest request) {
     }
     // Pin an explicitly requested version against retention while the
     // task waits in the queue ("latest" needs no pin — the latest version
-    // is never pruned). Released by ExecuteBatch.
+    // is never pruned). Released by ResolveBatch.
     if (task.request.snapshot_version != 0) {
       task.pinned_version = task.request.snapshot_version;
       ++shard->version_pins[task.pinned_version];
@@ -636,9 +637,11 @@ void PlanningService::WorkerLoop(Shard* shard, int worker_id) {
             static_cast<std::int64_t>(shard->queued()));
       }
     }
+    // A handed-back member was assembled and resolved by its leader.
+    const bool handed_back = batch.front().resolution.precompute != nullptr;
     // The batch-assembly span carries the leader's trace id: it is the
     // leader's dequeue that gathered the batch.
-    if (trace_.enabled() && batch.front().trace_id != 0) {
+    if (!handed_back && trace_.enabled() && batch.front().trace_id != 0) {
       obs::Span span;
       span.trace_id = batch.front().trace_id;
       span.name = "batch-assembly";
@@ -653,7 +656,8 @@ void PlanningService::WorkerLoop(Shard* shard, int worker_id) {
     } else {
       shard->not_full.NotifyOne();
     }
-    ExecuteBatch(shard, std::move(batch), worker_id);
+    if (!handed_back && !ResolveBatch(shard, &batch)) continue;
+    ExecuteTask(std::move(batch.front()), worker_id);
   }
 }
 
@@ -669,7 +673,12 @@ std::vector<PlanningService::Task> PlanningService::NextBatchLocked(
   }
   batch.push_back(std::move(shard->sweep.front()));
   shard->sweep.pop_front();
-  if (max_batch_size_ <= 1) return batch;
+  // Handed-back members sit at the front of the sweep queue and execute
+  // alone: their batch was already gathered and resolved. Past this point
+  // the front was unresolved, so no handed-back member is left to gather.
+  if (max_batch_size_ <= 1 || batch.front().resolution.precompute != nullptr) {
+    return batch;
+  }
   // Gather every queued sweep request with the same batch key (computed
   // once at Submit), preserving submission order among the gathered
   // members (order within a batch does not affect results — each member
@@ -688,171 +697,197 @@ std::vector<PlanningService::Task> PlanningService::NextBatchLocked(
   return batch;
 }
 
-void PlanningService::ExecuteBatch(Shard* shard, std::vector<Task> batch,
-                                   int worker_id) {
-  const auto pickup_time = std::chrono::steady_clock::now();
-  if (batch.size() > 1) {
+bool PlanningService::ResolveBatch(Shard* shard, std::vector<Task>* batch) {
+  Resolution resolved;
+  resolved.pickup_time = std::chrono::steady_clock::now();
+  resolved.batch_size = batch->size();
+  if (batch->size() > 1) {
     if (metrics_enabled_) {
       counters_.batches->Add();
-      counters_.batched_requests->Add(batch.size() - 1);
+      counters_.batched_requests->Add(batch->size() - 1);
     }
     core::MutexLock lock(stats_mu_);
     ++service_stats_.batches;
-    service_stats_.batched_requests += batch.size() - 1;
+    service_stats_.batched_requests += batch->size() - 1;
   }
 
   // Every member shares the same as-submitted version (it is part of the
   // batch key), so one resolution pins the snapshot for the whole batch.
   // In particular all "latest" members see the same latest, even if a
   // commit lands while the batch is executing.
-  const std::uint64_t requested_version = batch.front().request.snapshot_version;
-  SnapshotPtr snapshot;
-  PrecomputeCache::PrecomputePtr precompute;
-  bool leader_hit = false;
-  bool leader_derived = false;
-  double precompute_seconds = 0.0;
+  const Task& leader = batch->front();
+  const std::uint64_t requested_version = leader.request.snapshot_version;
   double resolve_start = 0.0;
   std::exception_ptr failure;
   try {
-    snapshot = requested_version == 0 ? shard->store->Latest()
-                                      : shard->store->Get(requested_version);
-    if (snapshot == nullptr) {
+    resolved.snapshot = requested_version == 0
+                            ? shard->store->Latest()
+                            : shard->store->Get(requested_version);
+    if (resolved.snapshot == nullptr) {
       throw std::invalid_argument("unknown snapshot version for dataset " +
-                                  batch.front().request.dataset);
+                                  leader.request.dataset);
     }
     if (trace_.enabled()) resolve_start = trace_.Now();
     const Stopwatch resolve_timer;
-    precompute = ResolvePrecompute(*shard->store,
-                                   batch.front().request.dataset, *snapshot,
-                                   batch.front().request.options, &leader_hit,
-                                   &leader_derived);
-    precompute_seconds = resolve_timer.Seconds();
+    resolved.precompute = ResolvePrecompute(
+        *shard->store, leader.request.dataset, *resolved.snapshot,
+        leader.request.options, &resolved.cache_hit, &resolved.derived);
+    resolved.precompute_seconds = resolve_timer.Seconds();
   } catch (...) {
     failure = std::current_exception();
   }
   // One resolution per batch, so one span: the leader's, annotated with
   // how the precompute was obtained.
-  if (failure == nullptr && trace_.enabled() &&
-      batch.front().trace_id != 0) {
+  if (failure == nullptr && trace_.enabled() && leader.trace_id != 0) {
     obs::Span span;
-    span.trace_id = batch.front().trace_id;
+    span.trace_id = leader.trace_id;
     span.name = "precompute-resolve";
-    span.detail =
-        leader_hit ? "hit" : (leader_derived ? "derive" : "scratch");
+    span.detail = resolved.cache_hit ? "hit"
+                                     : (resolved.derived ? "derive" : "scratch");
     span.start_seconds = resolve_start;
-    span.duration_seconds = precompute_seconds;
+    span.duration_seconds = resolved.precompute_seconds;
     trace_.Record(std::move(span));
   }
+
+  if (failure == nullptr) {
+    // Members were fed by the leader's resolution without touching the
+    // cache, which is indistinguishable from a hit for accounting.
+    Resolution member = resolved;
+    member.cache_hit = true;
+    member.derived = false;
+    member.precompute_seconds = 0.0;
+    for (std::size_t i = 1; i < batch->size(); ++i) {
+      (*batch)[i].resolution = member;
+    }
+    resolved.leader = true;
+    batch->front().resolution = std::move(resolved);
+  }
   // Snapshot resolution is done (the shared_ptr keeps it alive from here,
-  // or the batch failed): release the members' queued-version pins.
+  // or the batch failed): release the members' queued-version pins. On
+  // success, hand members 2..n back to the front of the sweep queue, in
+  // order, for whichever workers are free.
+  const bool hand_back = failure == nullptr && batch->size() > 1;
   {
     core::MutexLock lock(shard->mu);
-    for (const Task& task : batch) {
+    for (const Task& task : *batch) {
       UnpinVersionLocked(shard, task.pinned_version);
     }
+    if (hand_back) {
+      shard->sweep.insert(shard->sweep.begin(),
+                          std::make_move_iterator(batch->begin() + 1),
+                          std::make_move_iterator(batch->end()));
+      if (metrics_enabled_) {
+        shard->queue_depth_gauge->Set(
+            static_cast<std::int64_t>(shard->queued()));
+      }
+    }
   }
-
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Task& task = batch[i];
-    // Count completion before fulfilling the promise, so a caller woken by
-    // the future observes the counter already advanced.
-    if (failure != nullptr) {
+  if (failure != nullptr) {
+    // A failed resolution fails every member; nothing is handed back.
+    // Count completion before fulfilling each promise, so a caller woken
+    // by the future observes the counter already advanced.
+    for (Task& task : *batch) {
       if (metrics_enabled_) counters_.completed->Add();
       {
         core::MutexLock lock(stats_mu_);
         ++service_stats_.completed;
       }
       task.promise.set_exception(failure);
-      continue;
     }
-    try {
-      const bool traced = trace_.enabled() && task.trace_id != 0;
-      ServiceResult result;
-      result.request = task.request;
-      result.request.snapshot_version = snapshot->version;  // resolved
-      result.stats.snapshot_version = snapshot->version;
-      result.stats.worker_id = worker_id;
-      result.stats.batch_size = batch.size();
-      result.stats.execute_sequence = execute_sequence_.fetch_add(1);
-      result.stats.trace_id = task.trace_id;
-      result.stats.queue_seconds =
-          std::chrono::duration<double>(pickup_time - task.submit_time)
-              .count();
-      if (traced) {
-        obs::Span span;
-        span.trace_id = task.trace_id;
-        span.name = "queue-wait";
-        span.start_seconds = task.submit_trace_offset;
-        span.duration_seconds = result.stats.queue_seconds;
-        trace_.Record(std::move(span));
-      }
-      // The leader (first member) carries the true resolution provenance;
-      // members were fed by it without touching the cache, which is
-      // indistinguishable from a hit for accounting purposes.
-      result.stats.precompute_cache_hit = i == 0 ? leader_hit : true;
-      result.stats.precompute_derived = i == 0 ? leader_derived : false;
-      result.stats.precompute_seconds = i == 0 ? precompute_seconds : 0.0;
-      result.stats.precompute = precompute->stats;
+    return false;
+  }
+  if (hand_back) {
+    batch->erase(batch->begin() + 1, batch->end());
+    shard->not_empty.NotifyAll();
+  }
+  return true;
+}
 
-      // Private context per request: queries share the immutable snapshot
-      // and the const precompute (by shared_ptr, no copy), never the
-      // mutable search scratch.
-      double phase_start = traced ? trace_.Now() : 0.0;
-      Stopwatch phase_timer;
-      core::PlanningContext context =
-          core::PlanningContext::BuildWithPrecompute(
-              *snapshot->road, *snapshot->transit, task.request.options,
-              precompute);
-      result.stats.context_seconds = phase_timer.Seconds();
-      if (traced) {
-        obs::Span span;
-        span.trace_id = task.trace_id;
-        span.name = "context-build";
-        span.start_seconds = phase_start;
-        span.duration_seconds = result.stats.context_seconds;
-        trace_.Record(std::move(span));
-        phase_start = trace_.Now();
-      }
-
-      phase_timer.Reset();
-      switch (task.request.planner) {
-        case core::Planner::kEta:
-          result.plan = core::RunEta(&context, core::SearchMode::kOnline);
-          break;
-        case core::Planner::kEtaPre:
-          result.plan = core::RunEta(&context, core::SearchMode::kPrecomputed);
-          break;
-        case core::Planner::kVkTsp:
-          result.plan = core::RunVkTsp(&context);
-          break;
-      }
-      result.stats.plan_seconds = phase_timer.Seconds();
-      if (traced) {
-        obs::Span span;
-        span.trace_id = task.trace_id;
-        span.name = "plan-search";
-        span.start_seconds = phase_start;
-        span.duration_seconds = result.stats.plan_seconds;
-        trace_.Record(std::move(span));
-      }
-      if (metrics_enabled_) {
-        counters_.completed->Add();
-        RecordRequestLatency(task.request.priority, result.stats,
-                             /*batch_leader=*/i == 0);
-      }
-      {
-        core::MutexLock lock(stats_mu_);
-        ++service_stats_.completed;
-      }
-      task.promise.set_value(std::move(result));
-    } catch (...) {
-      if (metrics_enabled_) counters_.completed->Add();
-      {
-        core::MutexLock lock(stats_mu_);
-        ++service_stats_.completed;
-      }
-      task.promise.set_exception(std::current_exception());
+void PlanningService::ExecuteTask(Task task, int worker_id) {
+  const Resolution& resolved = task.resolution;
+  try {
+    const bool traced = trace_.enabled() && task.trace_id != 0;
+    ServiceResult result;
+    result.request = task.request;
+    result.request.snapshot_version = resolved.snapshot->version;  // resolved
+    result.stats.snapshot_version = resolved.snapshot->version;
+    result.stats.worker_id = worker_id;
+    result.stats.batch_size = resolved.batch_size;
+    result.stats.execute_sequence = execute_sequence_.fetch_add(1);
+    result.stats.trace_id = task.trace_id;
+    result.stats.queue_seconds =
+        std::chrono::duration<double>(resolved.pickup_time - task.submit_time)
+            .count();
+    if (traced) {
+      obs::Span span;
+      span.trace_id = task.trace_id;
+      span.name = "queue-wait";
+      span.start_seconds = task.submit_trace_offset;
+      span.duration_seconds = result.stats.queue_seconds;
+      trace_.Record(std::move(span));
     }
+    result.stats.precompute_cache_hit = resolved.cache_hit;
+    result.stats.precompute_derived = resolved.derived;
+    result.stats.precompute_seconds = resolved.precompute_seconds;
+    result.stats.precompute = resolved.precompute->stats;
+
+    // Private context per request: queries share the immutable snapshot
+    // and the const precompute (by shared_ptr, no copy), never the
+    // mutable search scratch.
+    double phase_start = traced ? trace_.Now() : 0.0;
+    Stopwatch phase_timer;
+    core::PlanningContext context = core::PlanningContext::BuildWithPrecompute(
+        *resolved.snapshot->road, *resolved.snapshot->transit,
+        task.request.options, resolved.precompute);
+    result.stats.context_seconds = phase_timer.Seconds();
+    if (traced) {
+      obs::Span span;
+      span.trace_id = task.trace_id;
+      span.name = "context-build";
+      span.start_seconds = phase_start;
+      span.duration_seconds = result.stats.context_seconds;
+      trace_.Record(std::move(span));
+      phase_start = trace_.Now();
+    }
+
+    phase_timer.Reset();
+    switch (task.request.planner) {
+      case core::Planner::kEta:
+        result.plan = core::RunEta(&context, core::SearchMode::kOnline);
+        break;
+      case core::Planner::kEtaPre:
+        result.plan = core::RunEta(&context, core::SearchMode::kPrecomputed);
+        break;
+      case core::Planner::kVkTsp:
+        result.plan = core::RunVkTsp(&context);
+        break;
+    }
+    result.stats.plan_seconds = phase_timer.Seconds();
+    if (traced) {
+      obs::Span span;
+      span.trace_id = task.trace_id;
+      span.name = "plan-search";
+      span.start_seconds = phase_start;
+      span.duration_seconds = result.stats.plan_seconds;
+      trace_.Record(std::move(span));
+    }
+    if (metrics_enabled_) {
+      counters_.completed->Add();
+      RecordRequestLatency(task.request.priority, result.stats,
+                           resolved.leader);
+    }
+    {
+      core::MutexLock lock(stats_mu_);
+      ++service_stats_.completed;
+    }
+    task.promise.set_value(std::move(result));
+  } catch (...) {
+    if (metrics_enabled_) counters_.completed->Add();
+    {
+      core::MutexLock lock(stats_mu_);
+      ++service_stats_.completed;
+    }
+    task.promise.set_exception(std::current_exception());
   }
 }
 

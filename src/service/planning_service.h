@@ -8,9 +8,10 @@
 //   highest-priority request and, for sweep traffic, gathers every queued
 //   request with the same batch key into one batch -> resolve snapshot
 //   (SnapshotStore) once per batch -> fetch/compute precompute
-//   (PrecomputeCache) once per batch -> build a private PlanningContext
-//   per request -> run the requested planner -> fulfill each future with
-//   PlanResult + stats.
+//   (PrecomputeCache) once per batch -> hand the other members back to
+//   the shard's workers -> build a private PlanningContext per request ->
+//   run the requested planner -> fulfill each future with PlanResult +
+//   stats.
 //
 // Sharding: every dataset registered with RegisterDataset gets its own
 // worker pool and queue, so a flood of traffic against one hot city can
@@ -21,15 +22,25 @@
 // Priorities: requests are either interactive (default) or sweep
 // (ScenarioRunner submits at sweep priority). Workers always drain the
 // interactive queue first, and only sweep requests are batched, so an
-// interactive request is never stuck behind more than the sweep batches
-// already in flight (at most one per worker of its shard).
+// interactive request is never stuck behind more than the sweep work
+// already in flight: at most one sweep request per worker of its shard
+// (a batch leader's resolution plus its own plan, or one handed-back
+// member).
 //
 // Batching: queued sweep requests whose precompute resolves identically —
 // same (dataset, snapshot version as submitted, tau, precompute-estimator
-// params) — execute as one batch on one worker: the snapshot and the
-// precompute are resolved once and feed every member, amortizing cache
-// misses even when the cache is disabled. Members still build private
-// PlanningContexts, so batched results are bit-identical to serial runs.
+// params) — form one batch. The worker that dequeues it (the leader)
+// resolves the snapshot and the precompute once, amortizing cache misses
+// even when the cache is disabled, then hands members 2..n back to the
+// front of the shard's sweep queue carrying that resolution and plans its
+// own member. Any free worker of the shard takes a handed-back member
+// alone: it is never re-batched or re-resolved, and interactive requests
+// still go first. A failed resolution fails every member, and nothing is
+// handed back. Handed-back members count in the queue depth but were
+// already admitted, so the queue may exceed queue_capacity by up to
+// max_batch_size - 1 of them while new submits still block (or are
+// refused). Every member builds a private PlanningContext, so batched
+// results are bit-identical to serial runs.
 //
 // Commits: Commit applies a result synchronously; CommitAsync enqueues it
 // on a dedicated commit thread and returns a future of the new version.
@@ -117,7 +128,10 @@ struct ServiceOptions {
   /// ctbus-lint: key-exempt(service topology knob; requests are keyed per dataset+options, not per pool size)
   int num_threads = 1;
   /// Bounded request queue per shard (interactive + sweep combined);
-  /// overflow_policy decides what Submit does at capacity.
+  /// overflow_policy decides what Submit does at capacity. Batch members
+  /// handed back to the queue after their leader's resolution were
+  /// already admitted and may push it past capacity by up to
+  /// max_batch_size - 1.
   /// ctbus-lint: key-exempt(admission control, never reaches the planner)
   std::size_t queue_capacity = 256;
   /// Precompute cache entries (0 disables caching).
@@ -150,10 +164,13 @@ struct ServiceOptions {
   /// Shared across shards; see OverflowPolicy.
   /// ctbus-lint: key-exempt(admission control, never reaches the planner)
   OverflowPolicy overflow_policy = OverflowPolicy::kBlock;
-  /// Upper bound on how many same-key sweep requests one worker executes
-  /// per dequeue (1 disables batching). Interactive requests are never
-  /// batched: they are latency-critical, and concurrent same-key misses
-  /// are already deduplicated inside PrecomputeCache.
+  /// Upper bound on how many same-key sweep requests share one dequeue's
+  /// precompute resolution (1 disables batching). The leader hands the
+  /// other members back to the shard's workers once it has resolved, so a
+  /// batch plans on every free worker, not serially on one. Interactive
+  /// requests are never batched: they are latency-critical, and
+  /// concurrent same-key misses are already deduplicated inside
+  /// PrecomputeCache.
   /// ctbus-lint: key-exempt(batching groups same-key requests; it cannot mix keys by construction)
   std::size_t max_batch_size = 8;
   /// Construct the service with every shard's workers parked: queued
@@ -233,10 +250,14 @@ struct RequestStats {
   double precompute_seconds = 0.0;  // cache lookup incl. compute on miss
   double context_seconds = 0.0;     // PlanningContext::BuildWithPrecompute
   double plan_seconds = 0.0;        // planner search
+  /// The worker that planned this request (for a batch member, not
+  /// necessarily its leader's).
   int worker_id = -1;
   /// Number of requests in the batch this one executed in (1 = unbatched).
-  /// Non-leader members report precompute_cache_hit = true: the leader's
-  /// resolution fed them without touching the cache.
+  /// Non-leader members report precompute_cache_hit = true,
+  /// precompute_derived = false and precompute_seconds = 0: the leader's
+  /// resolution fed them without touching the cache. queue_seconds is the
+  /// batch's pickup minus this request's submit, for every member.
   std::size_t batch_size = 1;
   /// Service-wide execution pickup order (0-based): assigned when a worker
   /// starts the request, so tests can assert drain order (interactive
@@ -389,6 +410,23 @@ class PlanningService {
   void Shutdown();
 
  private:
+  /// A batch's one snapshot + precompute resolution, as one task reports
+  /// it: the leader with its true provenance, members as RequestStats
+  /// documents for non-leaders.
+  struct Resolution {
+    SnapshotPtr snapshot;
+    /// Null until the batch leader has resolved.
+    PrecomputeCache::PrecomputePtr precompute;
+    /// When the leader picked the batch up: queue_seconds ends here.
+    std::chrono::steady_clock::time_point pickup_time;
+    std::size_t batch_size = 1;
+    /// Only the leader records into the precompute histogram.
+    bool leader = false;
+    bool cache_hit = false;
+    bool derived = false;
+    double precompute_seconds = 0.0;
+  };
+
   struct Task {
     PlanRequest request;
     std::promise<ServiceResult> promise;
@@ -400,14 +438,18 @@ class PlanningService {
     PrecomputeKey batch_key;
     /// Snapshot version pinned against retention while this task is
     /// queued (0 = none; only explicit-version requests pin — "latest"
-    /// can never be pruned). Released by ExecuteBatch once the snapshot
-    /// shared_ptr is resolved.
+    /// can never be pruned). Released by its batch leader's ResolveBatch
+    /// once the snapshot shared_ptr is resolved.
     std::uint64_t pinned_version = 0;
     /// Span correlation (0 = tracing was off at Submit): the id every
     /// phase span of this request carries, and where on the trace
     /// timeline the queue-wait span starts.
     std::uint64_t trace_id = 0;
     double submit_trace_offset = 0.0;
+    /// Set by the batch leader before it hands this member back to the
+    /// queue (precompute != nullptr marks a handed-back member); the held
+    /// SnapshotPtr keeps the snapshot alive after the pin is released.
+    Resolution resolution;
   };
 
   /// One dataset's serving state: its snapshot store plus a private
@@ -425,7 +467,8 @@ class PlanningService {
     core::CondVar not_full;
     core::CondVar workers_done;
     std::deque<Task> interactive CTBUS_GUARDED_BY(mu);  // drained first
-    std::deque<Task> sweep CTBUS_GUARDED_BY(mu);  // batched by key
+    /// Batched by key; handed-back members sit at the front.
+    std::deque<Task> sweep CTBUS_GUARDED_BY(mu);
     int live_workers CTBUS_GUARDED_BY(mu) = 0;
     std::vector<std::thread> workers CTBUS_GUARDED_BY(mu);
     /// version -> pin count for queued explicit-version requests and
@@ -440,6 +483,8 @@ class PlanningService {
     /// needs no guard.
     obs::Gauge* queue_depth_gauge = nullptr;
 
+    /// Includes handed-back members: the wait loop, the shutdown drain
+    /// and the queue-depth gauge all need them.
     std::size_t queued() const CTBUS_REQUIRES(mu) {
       return interactive.size() + sweep.size();
     }
@@ -458,14 +503,22 @@ class PlanningService {
 
   void WorkerLoop(Shard* shard, int worker_id) CTBUS_EXCLUDES(shard->mu);
   void CommitLoop() CTBUS_EXCLUDES(commit_mu_);
-  /// Dequeues the next batch from `shard` (caller holds shard->mu):
-  /// the front interactive task alone, or the front sweep task plus every
-  /// queued sweep task sharing its batch key (up to max_batch_size_).
+  /// Dequeues the next batch from `shard` (caller holds shard->mu): the
+  /// front interactive task alone, a handed-back sweep member alone, or
+  /// the front sweep task plus every queued sweep task sharing its batch
+  /// key (up to max_batch_size_).
   std::vector<Task> NextBatchLocked(Shard* shard) CTBUS_REQUIRES(shard->mu);
-  /// Resolves snapshot + precompute once, then plans every task of the
-  /// batch with a private context, fulfilling each task's promise.
-  void ExecuteBatch(Shard* shard, std::vector<Task> batch, int worker_id)
+  /// The leader's half of a batch: resolves snapshot + precompute once,
+  /// releases the members' version pins, stamps each task's Resolution
+  /// and hands members 2..n back to the front of the sweep queue, leaving
+  /// only the leader in `batch`. On a failed resolution fails every
+  /// member's promise and returns false.
+  bool ResolveBatch(Shard* shard, std::vector<Task>* batch)
       CTBUS_EXCLUDES(shard->mu);
+  /// Plans one resolved task with a private context and fulfills its
+  /// promise: a batch leader right after ResolveBatch, or a handed-back
+  /// member on whichever worker dequeued it.
+  void ExecuteTask(Task task, int worker_id);
   std::uint64_t CommitNow(const ServiceResult& result);
   std::shared_ptr<SnapshotStore> Store(const std::string& dataset) const
       CTBUS_EXCLUDES(datasets_mu_);

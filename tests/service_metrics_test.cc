@@ -324,5 +324,60 @@ TEST(ServiceMetricsTest, BatchingMetricsReconcileUnderSweepLoad) {
   EXPECT_EQ(CounterValue(snapshot, "cache.hits"), 0u);
 }
 
+TEST(ServiceMetricsTest, HandedBackMembersRecordOneResolution) {
+  // Two workers share one batch: the leader records the batch's only
+  // batch-assembly and precompute-resolve spans and the only precompute
+  // latency sample; every member records its own queue-wait,
+  // context-build and plan-search, whichever worker planned it.
+  ServiceOptions options;
+  options.num_threads = 2;
+  options.start_paused = true;
+  options.cache_capacity = 0;
+  options.max_batch_size = 8;
+  options.enable_tracing = true;
+  PlanningService service(options);
+  service.RegisterPreset("midtown");
+
+  constexpr int kRequests = 6;
+  std::vector<std::future<ServiceResult>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    futures.push_back(service.Submit(MidtownRequest(Priority::kSweep)));
+  }
+  service.Start();
+  std::set<std::uint64_t> result_ids;
+  for (auto& future : futures) result_ids.insert(future.get().stats.trace_id);
+  EXPECT_EQ(result_ids.size(), static_cast<std::size_t>(kRequests));
+
+  std::map<std::string, int> by_name;
+  std::map<std::uint64_t, int> member_spans;
+  for (const obs::Span& span : service.trace_log().Snapshot()) {
+    ++by_name[span.name];
+    EXPECT_TRUE(result_ids.count(span.trace_id)) << span.name;
+    if (span.name == "queue-wait" || span.name == "context-build" ||
+        span.name == "plan-search") {
+      ++member_spans[span.trace_id];
+    }
+  }
+  EXPECT_EQ(by_name["batch-assembly"], 1);
+  EXPECT_EQ(by_name["precompute-resolve"], 1);
+  EXPECT_EQ(by_name["queue-wait"], kRequests);
+  EXPECT_EQ(by_name["context-build"], kRequests);
+  EXPECT_EQ(by_name["plan-search"], kRequests);
+  for (const std::uint64_t id : result_ids) EXPECT_EQ(member_spans[id], 3);
+
+  ExpectReconciles(service);
+  const obs::MetricsSnapshot snapshot = service.MetricsSnapshot();
+  EXPECT_EQ(CounterValue(snapshot, "service.batch.batches"), 1u);
+  EXPECT_EQ(CounterValue(snapshot, "service.batch.batched_requests"),
+            static_cast<std::uint64_t>(kRequests - 1));
+  const auto* precompute =
+      FindHistogram(snapshot, "service.latency.precompute.sweep");
+  ASSERT_NE(precompute, nullptr);
+  EXPECT_EQ(precompute->count, 1u);
+  const auto* total = FindHistogram(snapshot, "service.latency.total.sweep");
+  ASSERT_NE(total, nullptr);
+  EXPECT_EQ(total->count, static_cast<std::uint64_t>(kRequests));
+}
+
 }  // namespace
 }  // namespace ctbus::service

@@ -255,6 +255,97 @@ TEST(PlanningServiceTest, PausedServiceBatchesSameKeySweeps) {
   EXPECT_EQ(stats.batched_requests, static_cast<std::uint64_t>(kRequests - 1));
 }
 
+/// Submits `count` same-key sweep requests (optionally pinned to one
+/// snapshot version) to a paused service.
+std::vector<std::future<ServiceResult>> SubmitSweeps(
+    PlanningService& service, int count, std::uint64_t version = 0) {
+  std::vector<std::future<ServiceResult>> futures;
+  for (int i = 0; i < count; ++i) {
+    PlanRequest request = MidtownRequest();
+    request.priority = Priority::kSweep;
+    request.snapshot_version = version;
+    futures.push_back(service.Submit(std::move(request)));
+  }
+  return futures;
+}
+
+ServiceOptions PausedTwoWorkerBatching() {
+  ServiceOptions service_options;
+  service_options.num_threads = 2;
+  service_options.start_paused = true;
+  service_options.cache_capacity = 0;  // batching must amortize on its own
+  service_options.max_batch_size = 8;
+  return service_options;
+}
+
+TEST(PlanningServiceTest, BatchMembersHandedBackKeepOneResolution) {
+  // Two workers drain one batch of eight: the leader resolves once and
+  // hands the other seven back to the queue for both workers to plan.
+  // Which worker plans which member is left to the scheduler; the plans
+  // and the accounting may not depend on it.
+  const gen::Dataset d = gen::MakeMidtown();
+  const core::PlanResult expected =
+      SerialPlan(d, FastOptions(), core::Planner::kEtaPre);
+  PlanningService service(PausedTwoWorkerBatching());
+  service.RegisterPreset("midtown");
+
+  constexpr int kRequests = 8;
+  auto futures = SubmitSweeps(service, kRequests);
+  service.Start();
+  int resolved_here = 0;
+  int cache_misses = 0;
+  for (auto& future : futures) {
+    const ServiceResult result = future.get();
+    ExpectBitIdentical(result.plan, expected);
+    EXPECT_EQ(result.stats.batch_size, static_cast<std::size_t>(kRequests));
+    EXPECT_FALSE(result.stats.precompute_derived);
+    if (result.stats.precompute_seconds > 0.0) ++resolved_here;
+    if (!result.stats.precompute_cache_hit) ++cache_misses;
+  }
+  EXPECT_EQ(resolved_here, 1);
+  EXPECT_EQ(cache_misses, 1);
+  EXPECT_EQ(service.cache_stats().misses, 1u);
+  const auto stats = service.service_stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.batched_requests, static_cast<std::uint64_t>(kRequests - 1));
+  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRequests));
+}
+
+TEST(PlanningServiceTest, FailedBatchResolutionFailsEveryMember) {
+  PlanningService service(PausedTwoWorkerBatching());
+  service.RegisterPreset("midtown");
+
+  constexpr int kRequests = 4;
+  auto futures = SubmitSweeps(service, kRequests, /*version=*/99);
+  service.Start();
+  for (auto& future : futures) {
+    EXPECT_THROW(future.get(), std::invalid_argument);
+  }
+  EXPECT_EQ(service.service_stats().completed,
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(service.dataset_memory_stats("midtown").pinned_versions, 0u);
+}
+
+TEST(PlanningServiceTest, ShutdownDrainsHandedBackMembers) {
+  // Shutdown right after Start: members handed back by the leader were
+  // already admitted, so the drain must plan every one of them.
+  const gen::Dataset d = gen::MakeMidtown();
+  const core::PlanResult expected =
+      SerialPlan(d, FastOptions(), core::Planner::kEtaPre);
+  PlanningService service(PausedTwoWorkerBatching());
+  service.RegisterPreset("midtown");
+
+  auto futures = SubmitSweeps(service, 8);
+  service.Start();
+  service.Shutdown();
+  for (auto& future : futures) {
+    ServiceResult result;
+    ASSERT_NO_THROW(result = future.get());
+    ExpectBitIdentical(result.plan, expected);
+  }
+  EXPECT_EQ(service.service_stats().completed, 8u);
+}
+
 TEST(PlanningServiceTest, BatchSizeOneDisablesBatching) {
   ServiceOptions service_options;
   service_options.num_threads = 1;

@@ -16,8 +16,11 @@ which way a change is a regression without a side table:
 
 Checksums are planning-result fingerprints and must match EXACTLY —
 any drift is a correctness failure, not a perf regression, and fails the
-diff regardless of threshold. Metrics present on only one side are
-reported as added/removed but do not fail (benches evolve).
+diff regardless of threshold. A baseline checksum missing from the
+current report fails too (the fingerprint was removed); a checksum only
+the current report has is reported as added and does not fail. Metrics
+present on only one side are reported as added/removed but do not fail
+(benches evolve).
 
 Exit status: 0 = clean, 1 = regression or checksum mismatch,
 2 = usage/schema error.
@@ -78,7 +81,15 @@ def diff_reports(baseline, current, threshold):
 
     base_sums = baseline.get("checksums", {})
     cur_sums = current.get("checksums", {})
-    for key in sorted(set(base_sums) & set(cur_sums)):
+    for key in sorted(set(base_sums) | set(cur_sums)):
+        if key not in base_sums:
+            lines.append(f"  {name}/checksum {key}: added (no baseline)")
+            continue
+        if key not in cur_sums:
+            failures.append(
+                f"{name}/checksum {key} fingerprint removed: baseline "
+                f"{base_sums[key]!r} has no current value")
+            continue
         if base_sums[key] != cur_sums[key]:
             failures.append(
                 f"{name}/checksum {key} DRIFTED: {base_sums[key]!r} -> "
@@ -157,6 +168,15 @@ def self_check():
     cur["metrics"]["new_metric"] = {"value": 1.0, "better": "lower"}
     _, fails = diff_reports(base, cur, 0.10)
     checks.append(("added metric does not fail", not fails))
+    cur = json.loads(json.dumps(base))
+    del cur["checksums"]["sum"]
+    _, fails = diff_reports(base, cur, 0.10)
+    checks.append(("removed checksum fails", len(fails) == 1))
+    cur = json.loads(json.dumps(base))
+    cur["checksums"]["new_sum"] = 7.0
+    lines, fails = diff_reports(base, cur, 0.10)
+    checks.append(("added checksum is reported and does not fail",
+                   not fails and any("new_sum: added" in l for l in lines)))
 
     ok = True
     for label, passed in checks:
