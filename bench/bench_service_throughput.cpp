@@ -102,17 +102,16 @@ PlanRequest MakeRequest(const std::string& dataset,
 
 /// Runs `num_requests` identical ETA-Pre queries through a fresh pool of
 /// `num_threads` workers and returns queries/sec (excluding the warmup
-/// request that populates the precompute cache). `enable_metrics` /
-/// `enable_tracing` feed the overhead section: results must be
-/// bit-identical either way.
+/// request that populates the precompute cache). `enable_tracing` feeds
+/// the overhead section, whose results must be bit-identical either way;
+/// `cpu_seconds` (optional) gets the process CPU time of the timed window.
 double MeasureThroughput(const ctbus::gen::Dataset& city, int num_threads,
                          int num_requests, double* check_sum,
-                         bool enable_metrics = true,
-                         bool enable_tracing = false) {
+                         bool enable_tracing = false,
+                         double* cpu_seconds = nullptr) {
   ServiceOptions service_options;
   service_options.num_threads = num_threads;
   service_options.queue_capacity = static_cast<std::size_t>(num_requests) + 1;
-  service_options.enable_metrics = enable_metrics;
   service_options.enable_tracing = enable_tracing;
   PlanningService service(service_options);
   service.RegisterDataset(city.name, city.road, city.transit);
@@ -121,6 +120,7 @@ double MeasureThroughput(const ctbus::gen::Dataset& city, int num_threads,
   // Warm the cache: steady-state serving amortizes the precompute.
   service.Plan(request);
 
+  const double cpu_start = ctbus::bench::ProcessCpuSeconds();
   ctbus::bench::Stopwatch timer;
   std::vector<std::future<ServiceResult>> futures;
   futures.reserve(num_requests);
@@ -132,6 +132,9 @@ double MeasureThroughput(const ctbus::gen::Dataset& city, int num_threads,
     sum += future.get().plan.objective;
   }
   const double seconds = timer.Seconds();
+  if (cpu_seconds != nullptr) {
+    *cpu_seconds = ctbus::bench::ProcessCpuSeconds() - cpu_start;
+  }
   if (check_sum != nullptr) *check_sum = sum;
   return num_requests / seconds;
 }
@@ -364,35 +367,35 @@ int main() {
   MeasureMemoryGovernance(city, /*rounds=*/4,
                           /*requests_per_round=*/std::min(num_requests, 8));
 
-  // ---- 5. metrics overhead ---------------------------------------------
-  // Same workload with the metrics registry + tracing fully on vs fully
-  // off: the record path is relaxed atomics, so the target is < 2%
-  // overhead — and checksums MUST match exactly (observability never
-  // changes planning results).
-  std::printf("\n-- metrics overhead (registry + tracing on vs off) --\n");
+  // ---- 5. tracing overhead ---------------------------------------------
+  // Same workload with span tracing on vs off (the metrics registry is
+  // always on): the target is < 2% overhead — and checksums MUST match
+  // exactly (observability never changes planning results).
+  std::printf("\n-- tracing overhead (span tracing on vs off) --\n");
   double off_sum = 0.0;
-  const double off_qps =
-      MeasureThroughput(city, 1, num_requests, &off_sum,
-                        /*enable_metrics=*/false, /*enable_tracing=*/false);
+  double off_cpu = 0.0;
+  const double off_qps = MeasureThroughput(
+      city, 1, num_requests, &off_sum, /*enable_tracing=*/false, &off_cpu);
   double on_sum = 0.0;
-  const double on_qps =
-      MeasureThroughput(city, 1, num_requests, &on_sum,
-                        /*enable_metrics=*/true, /*enable_tracing=*/true);
+  double on_cpu = 0.0;
+  const double on_qps = MeasureThroughput(
+      city, 1, num_requests, &on_sum, /*enable_tracing=*/true, &on_cpu);
   const double overhead_pct =
       off_qps > 0.0 ? (off_qps - on_qps) / off_qps * 100.0 : 0.0;
-  std::printf("%12s %12s %10s\n", "metrics", "queries/s", "checksum");
-  std::printf("%12s %12.2f %10.4f\n", "off", off_qps, off_sum);
-  std::printf("%12s %12.2f %10.4f\n", "on+trace", on_qps, on_sum);
+  std::printf("%12s %12s %10s %10s\n", "tracing", "queries/s", "cpu s",
+              "checksum");
+  std::printf("%12s %12.2f %10.3f %10.4f\n", "off", off_qps, off_cpu,
+              off_sum);
+  std::printf("%12s %12.2f %10.3f %10.4f\n", "on", on_qps, on_cpu, on_sum);
   std::printf("overhead: %.2f%% (target < 2%%); checksums %s\n", overhead_pct,
               off_sum == on_sum ? "IDENTICAL" : "DIFFER (BUG!)");
   if (off_sum != on_sum) {
-    std::fprintf(stderr,
-                 "FATAL: metrics/tracing changed planning results\n");
+    std::fprintf(stderr, "FATAL: tracing changed planning results\n");
     return 1;
   }
-  report.AddMetric("metrics_overhead_pct", overhead_pct, "lower");
-  report.AddChecksum("metrics_off", off_sum);
-  report.AddChecksum("metrics_on", on_sum);
+  report.AddMetric("tracing_overhead_pct", overhead_pct, "lower");
+  report.AddChecksum("tracing_off", off_sum);
+  report.AddChecksum("tracing_on", on_sum);
 
   // ---- 6. front door ---------------------------------------------------
   // The serving layer behind the framed-TCP front door: record a mixed

@@ -245,13 +245,8 @@ ResponseFrame Server::ResolvePending(Pending* pending) {
                                std::chrono::steady_clock::now() -
                                pending->received)
                                .count();
-    obs::Span span;
-    span.trace_id = trace_id;
-    span.name = "net-request";
-    span.detail = ResponseStatusName(response.status);
-    span.start_seconds = trace.Now() - seconds;
-    span.duration_seconds = seconds;
-    trace.Record(std::move(span));
+    trace.Record({trace_id, "net-request", ResponseStatusName(response.status),
+                  trace.Now() - seconds, seconds});
   }
   return response;
 }

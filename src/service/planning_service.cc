@@ -43,7 +43,6 @@ PlanningService::PlanningService(const ServiceOptions& options)
     : warm_start_precompute_(options.warm_start_precompute),
       max_warm_start_depth_(std::max(1, options.max_warm_start_depth)),
       default_retention_(options.retention),
-      metrics_enabled_(options.enable_metrics),
       trace_(options.trace_capacity, options.enable_tracing),
       cache_(options.cache_capacity, options.cache_max_bytes,
              options.cache_spill_dir),
@@ -51,32 +50,30 @@ PlanningService::PlanningService(const ServiceOptions& options)
       max_batch_size_(std::max<std::size_t>(1, options.max_batch_size)),
       overflow_policy_(options.overflow_policy),
       paused_(options.start_paused) {
-  if (metrics_enabled_) {
-    // Resolve every instrument once; the hot path records through these
-    // raw pointers without ever touching the registry mutex again.
-    counters_.submitted = metrics_.GetCounter("service.submitted");
-    counters_.completed = metrics_.GetCounter("service.completed");
-    counters_.rejected = metrics_.GetCounter("service.rejected");
-    counters_.precomputes_from_scratch =
-        metrics_.GetCounter("service.precompute.from_scratch");
-    counters_.precomputes_derived =
-        metrics_.GetCounter("service.precompute.derived");
-    counters_.batches = metrics_.GetCounter("service.batch.batches");
-    counters_.batched_requests =
-        metrics_.GetCounter("service.batch.batched_requests");
-    counters_.commits = metrics_.GetCounter("service.commit.total");
-    counters_.async_commits = metrics_.GetCounter("service.commit.async");
-    counters_.snapshots_pruned =
-        metrics_.GetCounter("service.retention.snapshots_pruned");
-    counters_.lineage_trimmed =
-        metrics_.GetCounter("service.retention.lineage_trimmed");
-    for (int p = 0; p < 2; ++p) {
-      latency_[p].queue = metrics_.GetHistogram(kPhaseNames[p][0]);
-      latency_[p].precompute = metrics_.GetHistogram(kPhaseNames[p][1]);
-      latency_[p].context = metrics_.GetHistogram(kPhaseNames[p][2]);
-      latency_[p].plan = metrics_.GetHistogram(kPhaseNames[p][3]);
-      latency_[p].total = metrics_.GetHistogram(kPhaseNames[p][4]);
-    }
+  // Resolve every instrument once; the hot path records through these
+  // raw pointers without ever touching the registry mutex again.
+  counters_.submitted = metrics_.GetCounter("service.submitted");
+  counters_.completed = metrics_.GetCounter("service.completed");
+  counters_.rejected = metrics_.GetCounter("service.rejected");
+  counters_.precomputes_from_scratch =
+      metrics_.GetCounter("service.precompute.from_scratch");
+  counters_.precomputes_derived =
+      metrics_.GetCounter("service.precompute.derived");
+  counters_.batches = metrics_.GetCounter("service.batch.batches");
+  counters_.batched_requests =
+      metrics_.GetCounter("service.batch.batched_requests");
+  counters_.commits = metrics_.GetCounter("service.commit.total");
+  counters_.async_commits = metrics_.GetCounter("service.commit.async");
+  counters_.snapshots_pruned =
+      metrics_.GetCounter("service.retention.snapshots_pruned");
+  counters_.lineage_trimmed =
+      metrics_.GetCounter("service.retention.lineage_trimmed");
+  for (int p = 0; p < 2; ++p) {
+    latency_[p].queue = metrics_.GetHistogram(kPhaseNames[p][0]);
+    latency_[p].precompute = metrics_.GetHistogram(kPhaseNames[p][1]);
+    latency_[p].context = metrics_.GetHistogram(kPhaseNames[p][2]);
+    latency_[p].plan = metrics_.GetHistogram(kPhaseNames[p][3]);
+    latency_[p].total = metrics_.GetHistogram(kPhaseNames[p][4]);
   }
   int threads = options.num_threads;
   if (threads <= 0) {
@@ -104,10 +101,12 @@ void PlanningService::RegisterDataset(
   auto shard = std::make_shared<Shard>(std::make_shared<SnapshotStore>(
       std::move(road), std::move(transit)));
   shard->retention = retention;
-  if (metrics_enabled_) {
-    shard->queue_depth_gauge =
-        metrics_.GetGauge("service.shard." + name + ".queue_depth");
-  }
+  shard->queue_depth_gauge =
+      metrics_.GetGauge("service.shard." + name + ".queue_depth");
+  shard->snapshots_pruned =
+      metrics_.GetCounter("dataset." + name + ".retention.snapshots_pruned");
+  shard->lineage_trimmed =
+      metrics_.GetCounter("dataset." + name + ".retention.lineage_trimmed");
   core::MutexLock lock(datasets_mu_);
   if (shutting_down_.load()) {
     throw std::runtime_error("RegisterDataset after Shutdown");
@@ -205,21 +204,12 @@ std::future<ServiceResult> PlanningService::Submit(PlanRequest request) {
     task.submit_trace_offset = trace_.Now();
   }
   std::future<ServiceResult> future = task.promise.get_future();
-  // Count the submission before the task becomes visible to workers, so
-  // completed can never be observed ahead of submitted.
-  {
-    core::MutexLock lock(stats_mu_);
-    ++service_stats_.submitted;
-  }
   {
     core::MutexLock lock(shard->mu);
     if (overflow_policy_ == OverflowPolicy::kReject &&
         shard->queued() >= queue_capacity_ && !shutting_down_.load()) {
       lock.Unlock();
-      if (metrics_enabled_) counters_.rejected->Add();
-      core::MutexLock stats_lock(stats_mu_);
-      --service_stats_.submitted;
-      ++service_stats_.rejected;
+      counters_.rejected->Add();
       throw std::runtime_error("PlanningService: shard queue full for " +
                                task.request.dataset);
     }
@@ -227,9 +217,6 @@ std::future<ServiceResult> PlanningService::Submit(PlanRequest request) {
       shard->not_full.Wait(shard->mu);
     }
     if (shutting_down_.load()) {
-      lock.Unlock();
-      core::MutexLock stats_lock(stats_mu_);
-      --service_stats_.submitted;
       throw std::runtime_error("PlanningService: Submit after Shutdown");
     }
     // Pin an explicitly requested version against retention while the
@@ -239,21 +226,16 @@ std::future<ServiceResult> PlanningService::Submit(PlanRequest request) {
       task.pinned_version = task.request.snapshot_version;
       ++shard->version_pins[task.pinned_version];
     }
+    // Counted once the enqueue is irrevocable and before the task becomes
+    // visible to workers, so completed never runs ahead of submitted.
+    counters_.submitted->Add();
     if (task.request.priority == Priority::kInteractive) {
       shard->interactive.push_back(std::move(task));
     } else {
       shard->sweep.push_back(std::move(task));
     }
-    if (metrics_enabled_) {
-      shard->queue_depth_gauge->Set(
-          static_cast<std::int64_t>(shard->queued()));
-    }
+    shard->queue_depth_gauge->Set(static_cast<std::int64_t>(shard->queued()));
   }
-  // The metrics counter is monotonic, so it is only bumped after the
-  // enqueue is irrevocable — the reject/shutdown paths above never touch
-  // it — which is what lets it reconcile exactly with ServiceStats (whose
-  // decrement-on-failure pattern a monotonic counter cannot mirror).
-  if (metrics_enabled_) counters_.submitted->Add();
   shard->not_empty.NotifyOne();
   return future;
 }
@@ -327,15 +309,10 @@ std::uint64_t PlanningService::CommitNow(const ServiceResult& result) {
       store->CommitRoute(result.plan, precompute->universe,
                          /*base_version=*/0);
   ApplyRetention(request.dataset, shard.get());
-  if (metrics_enabled_) counters_.commits->Add();
+  counters_.commits->Add();
   if (traced) {
-    obs::Span span;
-    span.trace_id = result.stats.trace_id;
-    span.name = "commit";
-    span.detail = request.dataset;
-    span.start_seconds = commit_start;
-    span.duration_seconds = trace_.Now() - commit_start;
-    trace_.Record(std::move(span));
+    trace_.Record({result.stats.trace_id, "commit", request.dataset,
+                   commit_start, trace_.Now() - commit_start});
   }
   return new_version;
 }
@@ -355,11 +332,7 @@ void PlanningService::CommitLoop() {
     try {
       const std::uint64_t version = CommitNow(task.result);
       UnpinVersion(task.shard.get(), task.pinned_version);
-      if (metrics_enabled_) counters_.async_commits->Add();
-      {
-        core::MutexLock lock(stats_mu_);
-        ++service_stats_.async_commits;
-      }
+      counters_.async_commits->Add();
       task.promise.set_value(version);
     } catch (...) {
       UnpinVersion(task.shard.get(), task.pinned_version);
@@ -412,17 +385,12 @@ void PlanningService::ApplyRetention(const std::string& dataset,
       protected_versions.push_back(version);
     }
     result = shard->store->ApplyRetention(policy, protected_versions);
-    shard->snapshots_pruned += result.versions_pruned;
-    shard->lineage_trimmed += result.lineage_trimmed;
   }
-  if (result.versions_pruned == 0 && result.lineage_trimmed == 0) return;
-  if (metrics_enabled_) {
-    counters_.snapshots_pruned->Add(result.versions_pruned);
-    counters_.lineage_trimmed->Add(result.lineage_trimmed);
-  }
-  core::MutexLock lock(stats_mu_);
-  service_stats_.snapshots_pruned += result.versions_pruned;
-  service_stats_.lineage_trimmed += result.lineage_trimmed;
+  // Service-wide totals plus the per-dataset breakdown.
+  counters_.snapshots_pruned->Add(result.versions_pruned);
+  counters_.lineage_trimmed->Add(result.lineage_trimmed);
+  shard->snapshots_pruned->Add(result.versions_pruned);
+  shard->lineage_trimmed->Add(result.lineage_trimmed);
 }
 
 PrecomputeCache::PrecomputePtr PlanningService::ResolvePrecompute(
@@ -476,24 +444,26 @@ PrecomputeCache::PrecomputePtr PlanningService::ResolvePrecompute(
   if (cache_hit != nullptr) *cache_hit = was_hit;
   if (derived != nullptr) *derived = was_derived;
   if (!was_hit) {
-    if (metrics_enabled_) {
-      (was_derived ? counters_.precomputes_derived
-                   : counters_.precomputes_from_scratch)
-          ->Add();
-    }
-    core::MutexLock lock(stats_mu_);
-    if (was_derived) {
-      ++service_stats_.precomputes_derived;
-    } else {
-      ++service_stats_.precomputes_from_scratch;
-    }
+    (was_derived ? counters_.precomputes_derived
+                 : counters_.precomputes_from_scratch)
+        ->Add();
   }
   return precompute;
 }
 
 PlanningService::ServiceStats PlanningService::service_stats() const {
-  core::MutexLock lock(stats_mu_);
-  return service_stats_;
+  ServiceStats stats;
+  stats.submitted = counters_.submitted->Value();
+  stats.completed = counters_.completed->Value();
+  stats.rejected = counters_.rejected->Value();
+  stats.precomputes_from_scratch = counters_.precomputes_from_scratch->Value();
+  stats.precomputes_derived = counters_.precomputes_derived->Value();
+  stats.batches = counters_.batches->Value();
+  stats.batched_requests = counters_.batched_requests->Value();
+  stats.async_commits = counters_.async_commits->Value();
+  stats.snapshots_pruned = counters_.snapshots_pruned->Value();
+  stats.lineage_trimmed = counters_.lineage_trimmed->Value();
+  return stats;
 }
 
 PlanningService::DatasetMemoryStats PlanningService::dataset_memory_stats(
@@ -503,17 +473,16 @@ PlanningService::DatasetMemoryStats PlanningService::dataset_memory_stats(
   stats.resident_versions = shard->store->num_versions();
   stats.snapshot_bytes = shard->store->ApproxBytes();
   stats.lineage_records = shard->store->num_lineage_records();
+  stats.snapshots_pruned = shard->snapshots_pruned->Value();
+  stats.lineage_trimmed = shard->lineage_trimmed->Value();
   core::MutexLock lock(shard->mu);
   stats.pinned_versions = shard->version_pins.size();
-  stats.snapshots_pruned = shard->snapshots_pruned;
-  stats.lineage_trimmed = shard->lineage_trimmed;
   return stats;
 }
 
 void PlanningService::RecordRequestLatency(Priority priority,
                                            const RequestStats& stats,
                                            bool batch_leader) {
-  if (!metrics_enabled_) return;
   PhaseHistograms& phases = latency_[static_cast<int>(priority)];
   phases.queue->Record(stats.queue_seconds);
   if (batch_leader) phases.precompute->Record(stats.precompute_seconds);
@@ -525,8 +494,8 @@ void PlanningService::RecordRequestLatency(Priority priority,
 
 obs::MetricsSnapshot PlanningService::MetricsSnapshot() const {
   obs::MetricsSnapshot snapshot = metrics_.Snapshot();
-  // Always-on read-time views: the cache and the snapshot stores keep
-  // their own exact accounting, so these need no hot-path instruments.
+  // Read-time views: the cache and the snapshot stores keep their own
+  // exact accounting, so these need no hot-path instruments.
   const PrecomputeCache::Stats cache = cache_.stats();
   snapshot.counters.emplace_back("cache.evicted_bytes", cache.evicted_bytes);
   snapshot.counters.emplace_back("cache.evictions", cache.evictions);
@@ -539,10 +508,6 @@ obs::MetricsSnapshot PlanningService::MetricsSnapshot() const {
   for (const std::string& name : names) {
     const DatasetMemoryStats stats = dataset_memory_stats(name);
     const std::string prefix = "dataset." + name + ".";
-    snapshot.counters.emplace_back(prefix + "retention.lineage_trimmed",
-                                   stats.lineage_trimmed);
-    snapshot.counters.emplace_back(prefix + "retention.snapshots_pruned",
-                                   stats.snapshots_pruned);
     snapshot.gauges.emplace_back(
         prefix + "snapshot.bytes",
         static_cast<std::int64_t>(stats.snapshot_bytes));
@@ -557,7 +522,8 @@ obs::MetricsSnapshot PlanningService::MetricsSnapshot() const {
         static_cast<std::int64_t>(stats.resident_versions));
   }
   // Restore the registry snapshot's deterministic-order contract after the
-  // merge (names are unique across sources: distinct prefixes).
+  // merge (names are unique across sources: the views add only cache.*
+  // and dataset.<name>.snapshot.* names, which the registry never holds).
   const auto by_name = [](const auto& a, const auto& b) {
     return a.first < b.first;
   };
@@ -632,23 +598,16 @@ void PlanningService::WorkerLoop(Shard* shard, int worker_id) {
       }
       if (trace_.enabled()) assembly_start = trace_.Now();
       batch = NextBatchLocked(shard);
-      if (metrics_enabled_) {
-        shard->queue_depth_gauge->Set(
-            static_cast<std::int64_t>(shard->queued()));
-      }
+      shard->queue_depth_gauge->Set(static_cast<std::int64_t>(shard->queued()));
     }
     // A handed-back member was assembled and resolved by its leader.
     const bool handed_back = batch.front().resolution.precompute != nullptr;
     // The batch-assembly span carries the leader's trace id: it is the
     // leader's dequeue that gathered the batch.
     if (!handed_back && trace_.enabled() && batch.front().trace_id != 0) {
-      obs::Span span;
-      span.trace_id = batch.front().trace_id;
-      span.name = "batch-assembly";
-      span.detail = "size=" + std::to_string(batch.size());
-      span.start_seconds = assembly_start;
-      span.duration_seconds = trace_.Now() - assembly_start;
-      trace_.Record(std::move(span));
+      trace_.Record({batch.front().trace_id, "batch-assembly",
+                     "size=" + std::to_string(batch.size()), assembly_start,
+                     trace_.Now() - assembly_start});
     }
     // A batch may have freed several queue slots at once.
     if (batch.size() > 1) {
@@ -702,13 +661,8 @@ bool PlanningService::ResolveBatch(Shard* shard, std::vector<Task>* batch) {
   resolved.pickup_time = std::chrono::steady_clock::now();
   resolved.batch_size = batch->size();
   if (batch->size() > 1) {
-    if (metrics_enabled_) {
-      counters_.batches->Add();
-      counters_.batched_requests->Add(batch->size() - 1);
-    }
-    core::MutexLock lock(stats_mu_);
-    ++service_stats_.batches;
-    service_stats_.batched_requests += batch->size() - 1;
+    counters_.batches->Add();
+    counters_.batched_requests->Add(batch->size() - 1);
   }
 
   // Every member shares the same as-submitted version (it is part of the
@@ -739,14 +693,10 @@ bool PlanningService::ResolveBatch(Shard* shard, std::vector<Task>* batch) {
   // One resolution per batch, so one span: the leader's, annotated with
   // how the precompute was obtained.
   if (failure == nullptr && trace_.enabled() && leader.trace_id != 0) {
-    obs::Span span;
-    span.trace_id = leader.trace_id;
-    span.name = "precompute-resolve";
-    span.detail = resolved.cache_hit ? "hit"
-                                     : (resolved.derived ? "derive" : "scratch");
-    span.start_seconds = resolve_start;
-    span.duration_seconds = resolved.precompute_seconds;
-    trace_.Record(std::move(span));
+    trace_.Record(
+        {leader.trace_id, "precompute-resolve",
+         resolved.cache_hit ? "hit" : (resolved.derived ? "derive" : "scratch"),
+         resolve_start, resolved.precompute_seconds});
   }
 
   if (failure == nullptr) {
@@ -776,10 +726,8 @@ bool PlanningService::ResolveBatch(Shard* shard, std::vector<Task>* batch) {
       shard->sweep.insert(shard->sweep.begin(),
                           std::make_move_iterator(batch->begin() + 1),
                           std::make_move_iterator(batch->end()));
-      if (metrics_enabled_) {
-        shard->queue_depth_gauge->Set(
-            static_cast<std::int64_t>(shard->queued()));
-      }
+      shard->queue_depth_gauge->Set(
+          static_cast<std::int64_t>(shard->queued()));
     }
   }
   if (failure != nullptr) {
@@ -787,11 +735,7 @@ bool PlanningService::ResolveBatch(Shard* shard, std::vector<Task>* batch) {
     // Count completion before fulfilling each promise, so a caller woken
     // by the future observes the counter already advanced.
     for (Task& task : *batch) {
-      if (metrics_enabled_) counters_.completed->Add();
-      {
-        core::MutexLock lock(stats_mu_);
-        ++service_stats_.completed;
-      }
+      counters_.completed->Add();
       task.promise.set_exception(failure);
     }
     return false;
@@ -819,12 +763,8 @@ void PlanningService::ExecuteTask(Task task, int worker_id) {
         std::chrono::duration<double>(resolved.pickup_time - task.submit_time)
             .count();
     if (traced) {
-      obs::Span span;
-      span.trace_id = task.trace_id;
-      span.name = "queue-wait";
-      span.start_seconds = task.submit_trace_offset;
-      span.duration_seconds = result.stats.queue_seconds;
-      trace_.Record(std::move(span));
+      trace_.Record({task.trace_id, "queue-wait", "", task.submit_trace_offset,
+                     result.stats.queue_seconds});
     }
     result.stats.precompute_cache_hit = resolved.cache_hit;
     result.stats.precompute_derived = resolved.derived;
@@ -841,12 +781,8 @@ void PlanningService::ExecuteTask(Task task, int worker_id) {
         task.request.options, resolved.precompute);
     result.stats.context_seconds = phase_timer.Seconds();
     if (traced) {
-      obs::Span span;
-      span.trace_id = task.trace_id;
-      span.name = "context-build";
-      span.start_seconds = phase_start;
-      span.duration_seconds = result.stats.context_seconds;
-      trace_.Record(std::move(span));
+      trace_.Record({task.trace_id, "context-build", "", phase_start,
+                     result.stats.context_seconds});
       phase_start = trace_.Now();
     }
 
@@ -864,29 +800,15 @@ void PlanningService::ExecuteTask(Task task, int worker_id) {
     }
     result.stats.plan_seconds = phase_timer.Seconds();
     if (traced) {
-      obs::Span span;
-      span.trace_id = task.trace_id;
-      span.name = "plan-search";
-      span.start_seconds = phase_start;
-      span.duration_seconds = result.stats.plan_seconds;
-      trace_.Record(std::move(span));
+      trace_.Record({task.trace_id, "plan-search", "", phase_start,
+                     result.stats.plan_seconds});
     }
-    if (metrics_enabled_) {
-      counters_.completed->Add();
-      RecordRequestLatency(task.request.priority, result.stats,
-                           resolved.leader);
-    }
-    {
-      core::MutexLock lock(stats_mu_);
-      ++service_stats_.completed;
-    }
+    counters_.completed->Add();
+    RecordRequestLatency(task.request.priority, result.stats,
+                         resolved.leader);
     task.promise.set_value(std::move(result));
   } catch (...) {
-    if (metrics_enabled_) counters_.completed->Add();
-    {
-      core::MutexLock lock(stats_mu_);
-      ++service_stats_.completed;
-    }
+    counters_.completed->Add();
     task.promise.set_exception(std::current_exception());
   }
 }

@@ -60,9 +60,10 @@
 // keys: two services differing only in budgets produce bit-identical
 // plans.
 //
-// Observability: the service owns an obs::MetricsRegistry (counters that
-// mirror ServiceStats exactly, per-phase/per-priority latency histograms,
-// per-shard queue-depth gauges — all lock-free on the record path) and an
+// Observability: the service owns an obs::MetricsRegistry, the only record
+// of service events (counters that service_stats() reads, per-dataset
+// retention counters, per-phase/per-priority latency histograms, per-shard
+// queue-depth gauges — all lock-free on the record path, always on) and an
 // obs::TraceLog span recorder (queue-wait -> batch-assembly ->
 // precompute-resolve -> context-build -> plan-search -> commit, one trace
 // id per request, bounded ring, JSON-lines export). MetricsSnapshot()
@@ -193,16 +194,6 @@ struct ServiceOptions {
   /// normally stay at depth 1; must be >= 1.
   /// ctbus-lint: key-exempt(derivation-chain bound, not a precompute input)
   int max_warm_start_depth = 8;
-  /// Record service metrics (counters mirroring ServiceStats, per-phase /
-  /// per-priority latency histograms, shard queue-depth gauges) into the
-  /// service's MetricsRegistry. The record path is lock-free atomics; the
-  /// hot-path overhead target is < 2% (bench_service_throughput's
-  /// "metrics overhead" section measures it). Disabling leaves every
-  /// registry instrument at zero — MetricsSnapshot() then reports only
-  /// the always-on cache / snapshot-store views. Metrics NEVER affect
-  /// planning results either way.
-  /// ctbus-lint: key-exempt(observability toggle, result-neutral by contract)
-  bool enable_metrics = true;
   /// Record per-request phase spans (queue-wait, batch-assembly,
   /// precompute-resolve, context-build, plan-search, commit) into a
   /// bounded in-memory ring (trace_log().Dump exports JSON lines). Off by
@@ -343,7 +334,12 @@ class PlanningService {
 
   PrecomputeCache::Stats cache_stats() const { return cache_.stats(); }
 
+  /// Service-wide event counts, read from the registry counters one field
+  /// at a time. Exact once the service is idle, or for the requests a
+  /// caller has already waited on; while requests run, fields read at
+  /// slightly different moments and need not agree with each other.
   struct ServiceStats {
+    /// Requests admitted to a shard queue (refused submits never count).
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
     /// Submissions refused by OverflowPolicy::kReject (not counted in
@@ -364,9 +360,11 @@ class PlanningService {
     std::uint64_t snapshots_pruned = 0;
     std::uint64_t lineage_trimmed = 0;
   };
-  ServiceStats service_stats() const CTBUS_EXCLUDES(stats_mu_);
+  ServiceStats service_stats() const;
 
-  /// Per-dataset memory accounting, read under the shard's lock.
+  /// Per-dataset memory accounting: store sizes read at call time, pins
+  /// under the shard's lock, retention totals from the dataset's
+  /// `dataset.<name>.retention.*` registry counters.
   struct DatasetMemoryStats {
     /// Resident snapshot versions and their summed ApproxBytes.
     std::size_t resident_versions = 0;
@@ -382,12 +380,12 @@ class PlanningService {
   DatasetMemoryStats dataset_memory_stats(const std::string& dataset) const;
 
   /// One deterministically ordered (name-sorted) view of every service
-  /// metric: the registry's counters / gauges / histograms (exactly
-  /// mirroring ServiceStats when metrics are enabled — reconciliation is
-  /// tested) plus always-on views computed at read time: `cache.*` from
-  /// the precompute cache and `dataset.<name>.*` from each shard's
-  /// snapshot store. Metric names are stable API — bench JSON, dashboards,
-  /// and tests key on them; rename only with a deprecation note.
+  /// metric: the registry's counters / gauges / histograms (the same
+  /// counters service_stats() reads) plus views computed at read time:
+  /// `cache.*` from the precompute cache and `dataset.<name>.snapshot.*`
+  /// from each shard's snapshot store. Metric names are stable API —
+  /// bench JSON, dashboards, and tests key on them; rename only with a
+  /// deprecation note.
   obs::MetricsSnapshot MetricsSnapshot() const;
 
   /// MetricsSnapshot() serialized as one JSON object (see
@@ -474,14 +472,14 @@ class PlanningService {
     /// version -> pin count for queued explicit-version requests and
     /// pending async commits; pinned versions survive retention passes.
     std::unordered_map<std::uint64_t, int> version_pins CTBUS_GUARDED_BY(mu);
-    /// Cumulative retention removals for this dataset.
-    std::uint64_t snapshots_pruned CTBUS_GUARDED_BY(mu) = 0;
-    std::uint64_t lineage_trimmed CTBUS_GUARDED_BY(mu) = 0;
-    /// Live "service.shard.<dataset>.queue_depth" gauge. Written once at
+    /// Live "service.shard.<dataset>.queue_depth" gauge and cumulative
+    /// "dataset.<dataset>.retention.*" counters. Written once at
     /// RegisterDataset before the shard is published, const afterwards
-    /// (the Gauge itself records through relaxed atomics), so the pointer
-    /// needs no guard.
+    /// (the instruments record through relaxed atomics), so the pointers
+    /// need no guard.
     obs::Gauge* queue_depth_gauge = nullptr;
+    obs::Counter* snapshots_pruned = nullptr;
+    obs::Counter* lineage_trimmed = nullptr;
 
     /// Includes handed-back members: the wait loop, the shutdown drain
     /// and the queue-depth gauge all need them.
@@ -550,8 +548,8 @@ class PlanningService {
       bool* cache_hit, bool* derived);
 
   /// The registry instruments the hot path records through, resolved once
-  /// at construction. Counter names mirror ServiceStats field-for-field;
-  /// latency histograms are indexed [phase][priority class].
+  /// at construction. service_stats() reads the counters; latency
+  /// histograms are indexed [phase][priority class].
   struct PhaseHistograms {
     obs::Histogram* queue = nullptr;
     obs::Histogram* precompute = nullptr;  // batch leaders only
@@ -573,10 +571,9 @@ class PlanningService {
     obs::Counter* lineage_trimmed = nullptr;
   };
 
-  /// Records one completed request's phase timings (no-op when metrics
-  /// are disabled). Only batch leaders record into the precompute
-  /// histogram — members ride on the leader's resolution and would skew
-  /// it with zeros.
+  /// Records one completed request's phase timings. Only batch leaders
+  /// record into the precompute histogram — members ride on the leader's
+  /// resolution and would skew it with zeros.
   void RecordRequestLatency(Priority priority, const RequestStats& stats,
                             bool batch_leader);
 
@@ -584,7 +581,6 @@ class PlanningService {
   const int max_warm_start_depth_;
   /// Retention for datasets registered without a per-dataset policy.
   const SnapshotRetentionPolicy default_retention_;
-  const bool metrics_enabled_;
   obs::MetricsRegistry metrics_;
   obs::TraceLog trace_;
   ServiceCounters counters_;
@@ -617,9 +613,6 @@ class PlanningService {
   std::deque<CommitTask> commit_queue_ CTBUS_GUARDED_BY(commit_mu_);
   bool commit_shutdown_ CTBUS_GUARDED_BY(commit_mu_) = false;
   std::thread commit_worker_ CTBUS_GUARDED_BY(commit_mu_);
-
-  mutable core::Mutex stats_mu_;
-  ServiceStats service_stats_ CTBUS_GUARDED_BY(stats_mu_);
 };
 
 }  // namespace ctbus::service

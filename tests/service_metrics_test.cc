@@ -1,16 +1,20 @@
-// Service-level observability: MetricsSnapshot() reconciles exactly with
-// ServiceStats at quiescence, metric names are stable and sorted, spans
-// cover the request lifecycle, and metrics/tracing never change planning
-// results (bit-identity on or off). Run under TSan in CI.
+// Service-level observability: ServiceStats and MetricsSnapshot() read the
+// same registry counters (exact at quiescence, lock-free and safe to poll
+// while requests run), metric names are stable and sorted, spans cover the
+// request lifecycle, and tracing never changes planning results
+// (bit-identity on or off). Run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/planning_context.h"
@@ -57,8 +61,8 @@ const obs::HistogramSnapshot* FindHistogram(
   return nullptr;
 }
 
-/// Every ServiceStats field must equal its registry counter at quiescence
-/// — counter-for-counter, which is what makes the metrics trustworthy.
+/// Every ServiceStats field must equal the registry counter of its stable
+/// metric name at quiescence.
 void ExpectReconciles(const PlanningService& service) {
   const PlanningService::ServiceStats stats = service.service_stats();
   const obs::MetricsSnapshot snapshot = service.MetricsSnapshot();
@@ -190,24 +194,6 @@ TEST(ServiceMetricsTest, SnapshotIsSortedAndHasCacheAndDatasetViews) {
   EXPECT_NE(first.str().find("\"service.completed\": 1"), std::string::npos);
 }
 
-TEST(ServiceMetricsTest, DisabledMetricsLeaveRegistryEmptyButViewsOn) {
-  ServiceOptions options;
-  options.num_threads = 1;
-  options.enable_metrics = false;
-  PlanningService service(options);
-  service.RegisterPreset("midtown");
-  service.Plan(MidtownRequest());
-
-  const obs::MetricsSnapshot snapshot = service.MetricsSnapshot();
-  for (const auto& [name, value] : snapshot.counters) {
-    EXPECT_EQ(name.rfind("service.", 0), std::string::npos)
-        << "registry counter " << name << " present with metrics disabled";
-  }
-  EXPECT_TRUE(snapshot.histograms.empty());
-  // The read-time cache / dataset views stay on regardless.
-  EXPECT_EQ(CounterValue(snapshot, "cache.misses"), 1u);
-}
-
 TEST(ServiceMetricsTest, TracingCoversRequestLifecycle) {
   ServiceOptions options;
   options.num_threads = 1;
@@ -270,32 +256,29 @@ TEST(ServiceMetricsTest, TracingOffAssignsNoIds) {
 }
 
 TEST(ServiceMetricsTest, ObservabilityNeverChangesResults) {
-  // The same request through four observability configurations must yield
-  // bit-identical plans (exact double equality on purpose).
+  // The same request with tracing off and on must yield bit-identical
+  // plans (exact double equality on purpose).
   core::PlanResult reference;
   bool have_reference = false;
-  for (const bool metrics : {false, true}) {
-    for (const bool tracing : {false, true}) {
-      ServiceOptions options;
-      options.num_threads = 2;
-      options.enable_metrics = metrics;
-      options.enable_tracing = tracing;
-      PlanningService service(options);
-      service.RegisterPreset("midtown");
-      const ServiceResult result = service.Plan(MidtownRequest());
-      if (!have_reference) {
-        reference = result.plan;
-        have_reference = true;
-        continue;
-      }
-      ASSERT_EQ(result.plan.found, reference.found);
-      EXPECT_EQ(result.plan.path.edges(), reference.path.edges());
-      EXPECT_EQ(result.plan.objective, reference.objective);
-      EXPECT_EQ(result.plan.demand, reference.demand);
-      EXPECT_EQ(result.plan.connectivity_increment,
-                reference.connectivity_increment);
-      EXPECT_EQ(result.plan.iterations, reference.iterations);
+  for (const bool tracing : {false, true}) {
+    ServiceOptions options;
+    options.num_threads = 2;
+    options.enable_tracing = tracing;
+    PlanningService service(options);
+    service.RegisterPreset("midtown");
+    const ServiceResult result = service.Plan(MidtownRequest());
+    if (!have_reference) {
+      reference = result.plan;
+      have_reference = true;
+      continue;
     }
+    ASSERT_EQ(result.plan.found, reference.found);
+    EXPECT_EQ(result.plan.path.edges(), reference.path.edges());
+    EXPECT_EQ(result.plan.objective, reference.objective);
+    EXPECT_EQ(result.plan.demand, reference.demand);
+    EXPECT_EQ(result.plan.connectivity_increment,
+              reference.connectivity_increment);
+    EXPECT_EQ(result.plan.iterations, reference.iterations);
   }
 }
 
@@ -377,6 +360,79 @@ TEST(ServiceMetricsTest, HandedBackMembersRecordOneResolution) {
   const auto* total = FindHistogram(snapshot, "service.latency.total.sweep");
   ASSERT_NE(total, nullptr);
   EXPECT_EQ(total->count, static_cast<std::uint64_t>(kRequests));
+}
+
+/// ServiceStats in declaration order, for whole-struct comparisons.
+std::array<std::uint64_t, 10> Fields(const PlanningService::ServiceStats& s) {
+  return {s.submitted, s.completed, s.rejected,
+          s.precomputes_from_scratch, s.precomputes_derived, s.batches,
+          s.batched_requests, s.async_commits, s.snapshots_pruned,
+          s.lineage_trimmed};
+}
+
+TEST(ServiceMetricsTest, StatsReadWhileServingEndAtTheScriptedCounts) {
+  // A reader polls service_stats() and MetricsSnapshot() while two workers
+  // serve a mixed burst and the commit pipeline applies two commits. Every
+  // field only ever grows, and once everything has finished each one is
+  // the scripted count.
+  ServiceOptions options;
+  options.num_threads = 2;
+  options.start_paused = true;  // one deterministic backlog
+  options.max_batch_size = 8;
+  options.retention.keep_latest = 1;
+  PlanningService service(options);
+  service.RegisterPreset("midtown");
+
+  std::atomic<bool> done{false};
+  std::atomic<int> polls{0};
+  std::thread reader([&service, &done, &polls] {
+    std::array<std::uint64_t, 10> last{};
+    while (!done.load()) {
+      const auto fields = Fields(service.service_stats());
+      for (std::size_t i = 0; i < fields.size(); ++i) {
+        EXPECT_GE(fields[i], last[i]) << "field " << i;
+      }
+      last = fields;
+      const obs::MetricsSnapshot snapshot = service.MetricsSnapshot();
+      EXPECT_LE(CounterValue(snapshot, "service.completed"), 10u);
+      polls.fetch_add(1);
+    }
+  });
+
+  std::vector<std::future<ServiceResult>> futures;
+  for (int i = 0; i < 10; ++i) {
+    futures.push_back(service.Submit(MidtownRequest(
+        i % 5 < 2 ? Priority::kInteractive : Priority::kSweep)));
+  }
+  service.Start();
+  std::vector<ServiceResult> results;
+  for (auto& future : futures) results.push_back(future.get());
+  // Both results were planned against version 1; the second commit prunes
+  // version 2, which nothing pins or caches.
+  EXPECT_EQ(service.CommitAsync(results[0]).get(), 2u);
+  EXPECT_EQ(service.CommitAsync(results[1]).get(), 3u);
+  while (polls.load() < 2) std::this_thread::yield();
+  done.store(true);
+  reader.join();
+
+  PlanningService::ServiceStats expected;
+  expected.submitted = 10;
+  expected.completed = 10;
+  expected.precomputes_from_scratch = 1;  // every request shares one key
+  expected.batches = 1;                   // all six sweeps in one dequeue
+  expected.batched_requests = 5;
+  expected.async_commits = 2;
+  expected.snapshots_pruned = 1;
+  EXPECT_EQ(Fields(service.service_stats()), Fields(expected));
+  ExpectReconciles(service);
+  const auto memory = service.dataset_memory_stats("midtown");
+  EXPECT_EQ(memory.snapshots_pruned, 1u);
+  EXPECT_EQ(memory.lineage_trimmed, 0u);
+  const obs::MetricsSnapshot snapshot = service.MetricsSnapshot();
+  EXPECT_EQ(
+      CounterValue(snapshot, "dataset.midtown.retention.snapshots_pruned"),
+      1u);
+  EXPECT_EQ(CounterValue(snapshot, "service.commit.total"), 2u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <stdexcept>
 #include <vector>
@@ -217,6 +218,17 @@ TEST(PlanningServiceTest, SubmitAfterShutdownThrows) {
   service.RegisterPreset("midtown");
   service.Shutdown();
   EXPECT_THROW(service.Submit(MidtownRequest()), std::runtime_error);
+  // A refused submit is counted nowhere: not admitted, and not a
+  // kReject overflow refusal either.
+  EXPECT_EQ(service.service_stats().submitted, 0u);
+  EXPECT_EQ(service.service_stats().rejected, 0u);
+  const auto counters = service.MetricsSnapshot().counters;
+  const auto submitted =
+      std::find_if(counters.begin(), counters.end(), [](const auto& counter) {
+        return counter.first == "service.submitted";
+      });
+  ASSERT_NE(submitted, counters.end());
+  EXPECT_EQ(submitted->second, 0u);
 }
 
 TEST(PlanningServiceTest, PausedServiceBatchesSameKeySweeps) {
